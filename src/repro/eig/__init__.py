@@ -6,7 +6,8 @@
   processor groups inside each chase.
 * :func:`ca_sbr_halve` — the CA-SBR band-halving step (Lemma IV.2 baseline,
   stage 3 of the complete solver).
-* :func:`eigensolve_2p5d` — Algorithm IV.3: the complete 2.5D eigensolver.
+* :func:`eigensolve_2p5d` — Algorithm IV.3: the complete 2.5D eigensolver;
+  :func:`tridiagonalize_2p5d` stops it at the tridiagonal of its finish.
 * :func:`eigensolve_scalapack_like`, :func:`eigensolve_elpa_like`,
   :func:`eigensolve_ca_sbr` — the other three rows of Table I.
 * :mod:`repro.eig.schedule` — the bulge-chase pipeline schedule (Figure 2).
@@ -15,7 +16,7 @@
 from repro.eig.full_to_band import full_to_band_2p5d
 from repro.eig.band_to_band import band_to_band_2p5d
 from repro.eig.ca_sbr import ca_sbr_halve, band_to_tridiagonal_1d
-from repro.eig.driver import eigensolve_2p5d, EigensolveResult
+from repro.eig.driver import eigensolve_2p5d, tridiagonalize_2p5d, EigensolveResult
 from repro.eig.scalapack_like import eigensolve_scalapack_like
 from repro.eig.elpa_like import eigensolve_elpa_like
 from repro.eig.ca_sbr_solver import eigensolve_ca_sbr
@@ -26,6 +27,7 @@ __all__ = [
     "ca_sbr_halve",
     "band_to_tridiagonal_1d",
     "eigensolve_2p5d",
+    "tridiagonalize_2p5d",
     "EigensolveResult",
     "eigensolve_scalapack_like",
     "eigensolve_elpa_like",

@@ -44,16 +44,19 @@ from repro.util.intlog import next_power_of_two
 from repro.util.validation import check_symmetric, frobenius_norm, reference_spectrum_error
 
 
-def finish_sequential(
+def finish_tridiagonal(
     machine: BSPMachine, band: DistBandMatrix, tag: str = "finish", root: int = 0
-) -> np.ndarray:
-    """Gather the narrow band on ``root`` and compute its eigenvalues there.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather the narrow band on ``root`` and reduce it to tridiagonal (d, e).
 
-    Charges ``root`` the sequential band→tridiagonal work (O(n·b²) flops,
-    O(n·b·log b) streaming) and the Sturm bisection (O(n²) per sweep).
-    Under fault injection the gathered band and the extracted tridiagonal
-    are both guarded (the gather may corrupt the live band — the caller's
-    checkpoint restores it on retry).
+    Charges ``root`` the whole sequential finish: the band→tridiagonal work
+    (O(n·b²) flops, O(n·b·log b) streaming) and the Sturm bisection
+    (O(n²) per sweep).  The bisection is charged analytically, so its
+    charges do not depend on the eigenvalues: a caller may bisect many
+    such tridiagonals later in one stacked call.  Under fault injection
+    the gathered band and the extracted tridiagonal are both guarded (the
+    gather may corrupt the live band — the caller's checkpoint restores it
+    on retry).
     """
     n, b = band.n, band.b
     faulty = machine.faults.enabled
@@ -77,19 +80,27 @@ def finish_sequential(
             machine.faults.corrupt_output(d, "finish:tridiag")
             machine.faults.corrupt_output(e, "finish:tridiag")
             guard_tridiagonal(machine, d, e, norm0, root)
-        evals = sturm_bisection_eigenvalues(d, e)
         machine.charge_flops(root, 64.0 * 5.0 * n * n)
         machine.mem_stream(root, 64.0 * 2.0 * n)
         machine.superstep(machine.world, 1)
     machine.trace.record("finish", (root,), tag=tag)
-    return evals
+    return d, e
+
+
+def finish_sequential(
+    machine: BSPMachine, band: DistBandMatrix, tag: str = "finish", root: int = 0
+) -> np.ndarray:
+    """Gather the narrow band on ``root`` and compute its eigenvalues there:
+    :func:`finish_tridiagonal`, then Sturm bisection of the tridiagonal."""
+    d, e = finish_tridiagonal(machine, band, tag=tag, root=root)
+    return sturm_bisection_eigenvalues(d, e)
 
 
 @dataclass
 class EigensolveResult:
     """Output of :func:`eigensolve_2p5d`: the spectrum plus cost breakdown."""
 
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray | None  # None when the solve stopped at the tridiagonal
     cost: CostReport
     delta: float
     replication: int  # c = p^{2δ−1}
@@ -99,6 +110,8 @@ class EigensolveResult:
     #: k, p_active, delta) — what repro.metrics.attainment needs to evaluate
     #: the matching lemma/theorem cost expressions
     stage_meta: list[dict] = field(default_factory=list)
+    #: (d, e) of a solve stopped after the tridiagonal (:func:`tridiagonalize_2p5d`)
+    tridiagonal: tuple[np.ndarray, np.ndarray] | None = None
 
     def stage_summary(self) -> str:
         lines = [f"total: {self.cost.summary()}"]
@@ -131,13 +144,54 @@ def eigensolve_2p5d(
     (δ = 1/2: classic 2-D, c = 1; δ = 2/3: maximal replication c = p^{1/3});
     the machine's p is factored into the nearest realizable q×q×c grid.
     ``b0`` overrides the paper's initial band-width; ``k`` is the per-stage
-    band-width ratio of the 2.5D band-to-band stages.
+    band-width ratio of the 2.5D band-to-band stages.  A NaN or Inf entry
+    raises :class:`~repro.util.validation.NonFiniteInputError`; a 1×1
+    matrix is its own spectrum.
     """
+    return _eigensolve_2p5d(machine, a, delta, b0, k, collect_stages, tag, spectrum=True)
+
+
+def tridiagonalize_2p5d(
+    machine: BSPMachine, a: np.ndarray, delta: float = 0.5
+) -> EigensolveResult:
+    """Algorithm IV.3 stopped after the tridiagonal of its finish.
+
+    The result's ``eigenvalues`` is None and ``tridiagonal`` holds (d, e).
+    Every charge, span and superstep is the one :func:`eigensolve_2p5d`
+    issues (the bisection is charged analytically), and
+    ``sturm_bisection_eigenvalues(*result.tridiagonal)`` is bit-identical
+    to its spectrum — also as one lane of a stacked call, which is how
+    the service bisects a batch of same-size jobs at once.  A
+    fault-injecting machine is refused: its finish must guard the
+    spectrum it computes.
+    """
+    if machine.faults.enabled:
+        raise ValueError("a fault-injecting machine must finish in place (eigensolve_2p5d)")
+    return _eigensolve_2p5d(machine, a, delta, None, 2, True, "eig2p5d", spectrum=False)
+
+
+def _eigensolve_2p5d(
+    machine: BSPMachine,
+    a: np.ndarray,
+    delta: float,
+    b0: int | None,
+    k: int,
+    collect_stages: bool,
+    tag: str,
+    spectrum: bool,
+) -> EigensolveResult:
     a = check_symmetric(a, "A")
     n = a.shape[0]
     p = machine.p
     if n < p:
         raise ValueError(f"the paper assumes n >= p (got n={n}, p={p})")
+    if n == 1:
+        d = a[0].copy()
+        return EigensolveResult(
+            eigenvalues=d if spectrum else None, cost=machine.cost(), delta=0.5,
+            replication=1, initial_bandwidth=0,
+            tridiagonal=None if spectrum else (d, np.empty(0)),
+        )
     q, c = factor_2p5d(p, delta)
     grid = ProcGrid(machine, (q, q, c), machine.world.take(q * q * c))
     # Effective δ of the realized grid (p may not admit the exact target).
@@ -290,7 +344,10 @@ def eigensolve_2p5d(
                 delta=delta_eff,
             )
 
-        # Stage 4: sequential finish.
+        # Stage 4: sequential finish (to the tridiagonal only, without
+        # ``spectrum``: the caller bisects it).
+        evals: np.ndarray | None = None
+        tridiagonal: tuple[np.ndarray, np.ndarray] | None = None
         if ft:
             root = world.root
 
@@ -310,8 +367,10 @@ def eigensolve_2p5d(
                 guard=lambda out: guard_spectrum(machine, out, n, root),
                 on_rank_loss=loss_finish,
             )
-        else:
+        elif spectrum:
             evals = finish_sequential(machine, band, tag=tag)
+        else:
+            tridiagonal = finish_tridiagonal(machine, band, tag=tag)
         snapshot(
             "finish",
             kind="finish",
@@ -330,6 +389,7 @@ def eigensolve_2p5d(
         initial_bandwidth=b,
         stages=stages,
         stage_meta=stage_meta,
+        tridiagonal=tridiagonal,
     )
 
 

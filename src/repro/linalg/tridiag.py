@@ -19,6 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 
+_EPS = np.finfo(np.float64).eps
+_SAFMIN = np.finfo(np.float64).tiny
+
+
 def _validate_tridiag(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(d, dtype=np.float64).ravel()
     e = np.asarray(e, dtype=np.float64).ravel()
@@ -29,41 +33,87 @@ def _validate_tridiag(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndar
     return d, e
 
 
+def _validate_stacked(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(d, e)`` as a (J, n), (J, n−1) stack; 1-D input is the J = 1 stack.
+
+    Returns the stack and whether the input was already stacked.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
+    if d.ndim < 2:
+        d, e = _validate_tridiag(d, e)
+        return d[None], e[None], False
+    if d.ndim != 2 or d.shape[1] == 0:
+        raise ValueError(f"stacked diagonals must have shape (J, n) with n >= 1, got {d.shape}")
+    if e.shape != (d.shape[0], d.shape[1] - 1):
+        raise ValueError(
+            f"stacked off-diagonals must have shape {(d.shape[0], d.shape[1] - 1)}, got {e.shape}"
+        )
+    return d, e, True
+
+
+def _sturm_setup(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-call constants of the Sturm recurrence for a (J, n) stack.
+
+    Returns step-major (n, J) arrays: the diagonal, the squared coupling
+    ``e_{i−1}²`` (0 at i = 0), and the zero guard
+    ``safmin + eps·(|d_i| + |e_{i−1}|)`` of step i (the LAPACK dstebz
+    safeguard that keeps the division finite).
+    """
+    e_prev = np.zeros_like(d)
+    e_prev[:, 1:] = e
+    guard = _SAFMIN + _EPS * (np.abs(d) + np.abs(e_prev))
+    return (np.ascontiguousarray(d.T), np.ascontiguousarray((e_prev * e_prev).T),
+            np.ascontiguousarray(guard.T))
+
+
+def _sturm_counts(dT: np.ndarray, e2T: np.ndarray, guardT: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each shift: lane j of the stack against ``x[j]``.
+
+    Runs the stationary Sturm recurrence ``q_i = (d_i − x) − e_{i−1}²/q_{i−1}``
+    over the step-major constants of :func:`_sturm_setup`; the number of
+    negative q_i is the inertia below x (Sylvester).  ``x`` is (J, m).
+    """
+    count = np.zeros(x.shape, dtype=np.int64)
+    q = np.ones(x.shape)
+    for d_i, e2_i, g_i in zip(dT[:, :, None], e2T[:, :, None], guardT[:, :, None]):
+        q = (d_i - x) - e2_i / q
+        tiny = np.abs(q) < g_i
+        if tiny.any():
+            q = np.where(tiny, -g_i, q)
+        count += q < 0.0
+    return count
+
+
 def eigenvalue_count_below(d: np.ndarray, e: np.ndarray, x: np.ndarray | float) -> np.ndarray:
     """Count eigenvalues of tridiag(d, e) strictly below each shift in ``x``.
 
-    Uses the stationary Sturm recurrence ``q_i = (d_i − x) − e_{i-1}²/q_{i-1}``;
-    the number of negative q_i equals the inertia below x (Sylvester).
-    Vectorized over shifts; the recurrence guards q = 0 with a tiny nudge
-    (standard LAPACK dstebz safeguard).
+    Vectorized over shifts; always returns an array of ``x``'s shape (at
+    least 1-D).  Shares its recurrence with the bisection.
     """
     d, e = _validate_tridiag(d, e)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    n = d.size
-    e2 = np.concatenate(([0.0], e * e))
-    count = np.zeros(xs.shape, dtype=np.int64)
-    q = np.full(xs.shape, 1.0)
-    eps = np.finfo(np.float64).eps
-    safmin = np.finfo(np.float64).tiny
-    for i in range(n):
-        q = (d[i] - xs) - e2[i] / q
-        # Guard exact zeros so the division stays finite.
-        tiny = np.abs(q) < safmin + eps * (abs(d[i]) + np.sqrt(e2[i]))
-        q = np.where(tiny, -safmin - eps * (abs(d[i]) + np.sqrt(e2[i])), q)
-        count += (q < 0.0).astype(np.int64)
-    return count if np.ndim(x) else count  # always an array
+    return _sturm_counts(*_sturm_setup(d[None], e[None]), xs.reshape(1, -1)).reshape(xs.shape)
+
+
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane Gershgorin bounds of a (J, n) stack, padded by 1e-12 of the
+    lane's own scale (the zero matrix keeps the exact interval [0, 0])."""
+    radius = np.zeros_like(d)
+    radius[:, :-1] += np.abs(e)
+    radius[:, 1:] += np.abs(e)
+    lo = np.min(d - radius, axis=1)
+    hi = np.max(d + radius, axis=1)
+    pad = 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
+    return lo - pad, hi + pad
 
 
 def gershgorin_interval(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     """Return an interval guaranteed to contain all eigenvalues."""
     d, e = _validate_tridiag(d, e)
-    radius = np.zeros_like(d)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    return lo - pad, hi + pad
+    lo, hi = _gershgorin(d[None], e[None])
+    return float(lo[0]), float(hi[0])
 
 
 def sturm_bisection_eigenvalues(
@@ -72,30 +122,45 @@ def sturm_bisection_eigenvalues(
     """All eigenvalues of tridiag(d, e) by Sturm-sequence bisection.
 
     Bisects all n eigenvalue brackets simultaneously (vectorized over
-    eigenvalue indices).  ``tol=0`` iterates to machine-precision-relative
-    brackets.
+    eigenvalue indices).  ``tol=0`` iterates until every bracket is within
+    ``4·eps`` of the padded Gershgorin scale (floored at the smallest
+    normal double, so the zero matrix terminates).
+
+    Also takes a stack of J same-size problems, ``d`` of shape (J, n) and
+    ``e`` of shape (J, n−1), and returns a (J, n) array.  Each lane stops
+    once it meets its own convergence test, so every lane is bit-identical
+    to a separate 1-D call; stacking only removes per-call overhead.
     """
-    d, e = _validate_tridiag(d, e)
-    n = d.size
-    if n == 1:
-        return d.copy()
-    lo, hi = gershgorin_interval(d, e)
-    lower = np.full(n, lo)
-    upper = np.full(n, hi)
-    eps = np.finfo(np.float64).eps
-    scale = max(abs(lo), abs(hi), 1e-300)
+    d, e, stacked = _validate_stacked(d, e)
+    if d.shape[1] == 1:
+        out = d.copy()
+        return out if stacked else out[0]
+    n = d.shape[1]
+    lo, hi = _gershgorin(d, e)
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), _SAFMIN)
+    stop = np.maximum(tol, 4.0 * _EPS * scale)
     target = np.arange(1, n + 1)  # eigenvalue k has ν(x) >= k for x above it
+    out = np.empty(d.shape)
+    live = np.arange(d.shape[0])  # lanes still bisecting
+    dT, e2T, guardT = _sturm_setup(d, e)
+    lower = np.repeat(lo[:, None], n, axis=1)
+    upper = np.repeat(hi[:, None], n, axis=1)
     for _ in range(max_iter):
+        if live.size == 0:
+            break
         mid = 0.5 * (lower + upper)
-        counts = eigenvalue_count_below(d, e, mid)
         # If at least k eigenvalues are below mid, eigenvalue k-1 is below mid.
-        below = counts >= target
+        below = _sturm_counts(dT, e2T, guardT, mid) >= target
         upper = np.where(below, mid, upper)
         lower = np.where(below, lower, mid)
-        width = np.max(upper - lower)
-        if width <= max(tol, 4.0 * eps * scale):
-            break
-    return 0.5 * (lower + upper)
+        done = np.max(upper - lower, axis=1) <= stop
+        if done.any():
+            out[live[done]] = 0.5 * (lower[done] + upper[done])
+            keep = ~done
+            live, stop, lower, upper = live[keep], stop[keep], lower[keep], upper[keep]
+            dT, e2T, guardT = dT[:, keep], e2T[:, keep], guardT[:, keep]
+    out[live] = 0.5 * (lower + upper)
+    return out if stacked else out[0]
 
 
 def tridiagonal_eigenvalues_ql(

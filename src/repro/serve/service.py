@@ -12,6 +12,8 @@
    single-shot run of the same ``(matrix, p, δ)``.  Repeat attempts of
    the same plan (retries, hedges) hit a solve memo — one wall-clock
    solve per distinct plan, however many simulated trials charge it.
+   First attempts of one plan are solved as one batch that ends in a
+   single stacked Sturm bisection (see ``docs/serving.md``).
 3. **Schedule** — the measured cost reports give each attempt its
    simulated service time T = γF + βW + νQ + αS; the resilient event loop
    (:mod:`repro.serve.resilience`) replays the workload's arrival trace
@@ -40,6 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -48,7 +52,8 @@ import numpy as np
 
 from repro.bsp.machine import BSPMachine
 from repro.bsp.params import MachineParams
-from repro.eig import solve_by_name
+from repro.eig import solve_by_name, tridiagonalize_2p5d
+from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.metrics.attainment import attainment_ratios
 from repro.obs.telemetry import NO_TELEMETRY, Telemetry
 from repro.serve.cache import TuningCache, cached_replan_delta, model_fingerprint
@@ -228,17 +233,30 @@ def _params_payload(params: MachineParams) -> dict[str, float]:
     }
 
 
-def execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """Solve one planned job; pure function of the payload (worker-safe).
+def execute_payload(payload: dict[str, Any]) -> list[dict[str, Any]]:
+    """Solve a batch of same-plan jobs; pure function of the payload (worker-safe).
 
-    Returns a plain dict (arrays and floats only) so results cross a
-    process boundary cheaply.  A typed fault error is *returned*, not
-    raised — the parent decides the escalation policy.  The error dict
-    carries the *partial* cost the machine accrued before faulting, so a
-    failed attempt still has a simulated service time to charge.
+    The payload names one plan (``n``, ``p``, ``delta``, ``algorithm``,
+    ``params``, ``faults``) and the jobs that share it: ``job_ids`` and
+    their matrix ``seeds``.  Returns one plain dict per job, in order
+    (arrays and floats only) so results cross a process boundary cheaply.
+    A typed fault error is *returned*, not raised — the parent decides the
+    escalation policy.  The error dict carries the *partial* cost the
+    machine accrued before faulting, so a failed attempt still has a
+    simulated service time to charge.
 
-    With ``payload["spans"]`` (set by a telemetry-enabled service) the
-    solve runs with span recording on and the outcome carries the solver's
+    Stacked finish: each clean job of the paper's solver (``eig2p5d``)
+    stops after the tridiagonal of its finish
+    (:func:`~repro.eig.tridiagonalize_2p5d`), and the batch ends in one
+    stacked Sturm bisection that supplies all their spectra.  Every lane
+    of the stacked kernel converges on its own test and the finish is
+    charged analytically, so spectra, costs and spans are byte-identical
+    to solving each job alone.  A faulted payload (``faults`` set)
+    finishes every job in place, so its finish guards the tridiagonal and
+    spectrum of its own values.
+
+    With ``payload["spans"]`` (set by a telemetry-enabled service) each
+    solve runs with span recording on and its outcome carries the solver's
     :class:`~repro.trace.spans.SpanEvent` tree as plain dicts under
     ``solver_spans``.  Costs, spectra, and service time are byte-identical
     either way — span recording only observes (the batched chase engine
@@ -248,69 +266,85 @@ def execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
     from repro.faults.errors import FaultError
 
     params = MachineParams(**payload["params"])
-    n, seed = payload["n"], payload["seed"]
-    p, delta = payload["p"], payload["delta"]
+    n, p, delta = payload["n"], payload["p"], payload["delta"]
     algorithm = payload["algorithm"]
     want_spans = bool(payload.get("spans"))
-    a = random_symmetric(n, seed=seed)
-    if payload.get("faults"):
+    faults = payload.get("faults")
+    stack = not faults and algorithm == "eig2p5d"
+    if faults:
         from repro.faults import FaultPlan, FaultyMachine
         from repro.faults.plan import SCENARIOS
-
-        machine: BSPMachine = FaultyMachine(
-            p, params,
-            plan=FaultPlan(SCENARIOS[payload["faults"]], payload["fault_seed"]),
-            spans=True,
-        )
-    else:
-        machine = BSPMachine(p, params, spans=want_spans)
-
-    def solver_spans() -> dict[str, Any]:
-        if not want_spans:
-            return {}
-        return {
-            "solver_p": p,
-            "solver_spans": [ev.as_dict() for ev in machine.spans.events],
-        }
-
-    try:
-        result = solve_by_name(algorithm, machine, a, delta)
-    except FaultError as exc:
-        partial = machine.cost()
-        return {
-            "job_id": payload["job_id"],
-            "status": "error",
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-            "sim_cost": {
-                "flops": partial.flops,
-                "words": partial.words,
-                "mem_traffic": partial.mem_traffic,
-                "supersteps": float(partial.supersteps),
-                "peak_memory_words": partial.peak_memory_words,
-            },
+    outcomes: list[dict[str, Any]] = []
+    pending: list[tuple[dict[str, Any], tuple[np.ndarray, np.ndarray]]] = []
+    for job_id, seed in zip(payload["job_ids"], payload["seeds"]):
+        a = random_symmetric(n, seed=seed)
+        if faults:
+            machine: BSPMachine = FaultyMachine(
+                p, params,
+                plan=FaultPlan(SCENARIOS[faults], payload["fault_seed"]),
+                spans=True,
+            )
+        else:
+            machine = BSPMachine(p, params, spans=want_spans)
+        try:
+            if stack:
+                result = tridiagonalize_2p5d(machine, a, delta=delta)
+            else:
+                result = solve_by_name(algorithm, machine, a, delta)
+        except FaultError as exc:
+            partial = machine.cost()
+            outcomes.append({
+                "job_id": job_id,
+                "status": "error",
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+                "sim_cost": _cost_doc(partial),
+                "service_time": params.time(
+                    partial.flops, partial.words, partial.mem_traffic, partial.supersteps
+                ),
+                **_solver_spans(machine, want_spans),
+            })
+            continue
+        cost = result.cost
+        out = {
+            "job_id": job_id,
+            "status": "ok",
+            "eigenvalues": result.eigenvalues,
+            "sim_cost": _cost_doc(cost),
             "service_time": params.time(
-                partial.flops, partial.words, partial.mem_traffic, partial.supersteps
+                cost.flops, cost.words, cost.mem_traffic, cost.supersteps
             ),
-            **solver_spans(),
+            "attainment": attainment_ratios(result.stages, result.stage_meta),
+            **_solver_spans(machine, want_spans),
         }
-    cost = result.cost
+        if result.tridiagonal is not None:
+            pending.append((out, result.tridiagonal))
+        outcomes.append(out)
+    if pending:
+        evals = sturm_bisection_eigenvalues(
+            np.stack([d for _, (d, _) in pending]), np.stack([e for _, (_, e) in pending])
+        )
+        for (out, _), ev in zip(pending, evals):
+            out["eigenvalues"] = ev
+    return outcomes
+
+
+def _cost_doc(cost: Any) -> dict[str, float]:
     return {
-        "job_id": payload["job_id"],
-        "status": "ok",
-        "eigenvalues": result.eigenvalues,
-        "sim_cost": {
-            "flops": cost.flops,
-            "words": cost.words,
-            "mem_traffic": cost.mem_traffic,
-            "supersteps": float(cost.supersteps),
-            "peak_memory_words": cost.peak_memory_words,
-        },
-        "service_time": params.time(
-            cost.flops, cost.words, cost.mem_traffic, cost.supersteps
-        ),
-        "attainment": attainment_ratios(result.stages, result.stage_meta),
-        **solver_spans(),
+        "flops": cost.flops,
+        "words": cost.words,
+        "mem_traffic": cost.mem_traffic,
+        "supersteps": float(cost.supersteps),
+        "peak_memory_words": cost.peak_memory_words,
+    }
+
+
+def _solver_spans(machine: BSPMachine, want: bool) -> dict[str, Any]:
+    if not want:
+        return {}
+    return {
+        "solver_p": machine.p,
+        "solver_spans": [ev.as_dict() for ev in machine.spans.events],
     }
 
 
@@ -325,6 +359,24 @@ def _memo_key(payload: dict[str, Any]) -> str:
         f"delta={payload['delta']!r};alg={payload['algorithm']};"
         f"faults={payload.get('faults', '')};fseed={payload.get('fault_seed', 0)}"
     )
+
+
+def _plan_key(payload: dict[str, Any]) -> tuple:
+    """The memo key without the matrix: attempts with equal plan keys are
+    solved as one :func:`execute_payload` batch."""
+    return (
+        payload["n"], payload["p"], repr(payload["delta"]), payload["algorithm"],
+        payload.get("faults", ""), payload.get("fault_seed", 0),
+    )
+
+
+def _batch_payload(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
+    """One :func:`execute_payload` batch of same-plan attempt payloads:
+    their ``job_id``/``seed`` fields become the ``job_ids``/``seeds`` lists."""
+    batch = {k: v for k, v in payloads[0].items() if k not in ("job_id", "seed")}
+    batch["job_ids"] = [pl["job_id"] for pl in payloads]
+    batch["seeds"] = [pl["seed"] for pl in payloads]
+    return batch
 
 
 def _attempt_to_json(raw: dict[str, Any]) -> dict[str, Any]:
@@ -470,10 +522,12 @@ class EigenService:
     def run_workload(self, workload: Workload) -> ServeReport:
         """Serve every job of a workload; returns the aggregate report.
 
-        Wall-clock work (actual eigensolves) happens lazily inside the
-        simulated event loop through a memo keyed on the solve identity,
-        so retries and hedges of an identical plan cost nothing extra in
-        wall time while still being fully charged in simulated time.
+        Wall-clock work (actual eigensolves) goes through a memo keyed on
+        the solve identity: every job's first attempt is solved up front,
+        batched by plan, and later rungs solve lazily inside the simulated
+        event loop.  Retries and hedges of an identical plan cost nothing
+        extra in wall time while still being fully charged in simulated
+        time.
         """
         t0 = time.perf_counter()
         telemetry = self.telemetry
@@ -500,34 +554,39 @@ class EigenService:
             for spec in workload.jobs:
                 journal.record_submitted(spec.job_id, spec.as_dict())
 
-        def solve(payload: dict[str, Any]) -> dict[str, Any]:
+        def remember(payload: dict[str, Any], raw: dict[str, Any]) -> None:
             key = _memo_key(payload)
-            raw = memo.get(key)
+            memo[key] = raw
+            if journal is not None:
+                journal.record_attempt(key, _attempt_to_json(raw))
+
+        def solve(payload: dict[str, Any]) -> dict[str, Any]:
+            raw = memo.get(_memo_key(payload))
             if raw is None:
-                raw = execute_payload(payload)
-                memo[key] = raw
-                if journal is not None:
-                    journal.record_attempt(key, _attempt_to_json(raw))
+                raw = execute_payload(_batch_payload([payload]))[0]
+                remember(payload, raw)
             return raw
 
-        # attempt-0 payloads are placement-independent: warm the memo in
-        # parallel before the (serial) simulated loop
-        if self.workers > 0:
-            first = [
-                self._attempt_payload(
-                    spec, self._rung_for(plans[spec.job_id][0], spec, 0), 0
-                )
-                for spec in workload.jobs
-            ]
-            todo = [pl for pl in first if _memo_key(pl) not in memo]
-            if todo:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=self.workers) as workers:
-                    for pl, raw in zip(todo, workers.map(execute_payload, todo)):
-                        memo[_memo_key(pl)] = raw
-                        if journal is not None:
-                            journal.record_attempt(_memo_key(pl), _attempt_to_json(raw))
+        # Attempt-0 payloads are placement-independent: solve them before
+        # the (serial) simulated loop, one batch per plan so each batch
+        # ends in one stacked Sturm call — inline, or one batch per task in
+        # the worker pool.  Later rungs solve lazily, one job at a time.
+        batches: dict[tuple, dict[str, dict[str, Any]]] = {}
+        for spec in workload.jobs:
+            pl = self._attempt_payload(
+                spec, self._rung_for(plans[spec.job_id][0], spec, 0), 0
+            )
+            key = _memo_key(pl)
+            if key not in memo:
+                batches.setdefault(_plan_key(pl), {})[key] = pl
+        groups = [list(batch.values()) for batch in batches.values()]
+        todo = [_batch_payload(group) for group in groups]
+        use_pool = self.workers > 0 and bool(todo)
+        with ProcessPoolExecutor(self.workers) if use_pool else nullcontext() as pool:
+            solved = pool.map(execute_payload, todo) if pool else map(execute_payload, todo)
+            for group, outcomes in zip(groups, solved):  # journaled as each batch lands
+                for pl, raw in zip(group, outcomes):
+                    remember(pl, raw)
 
         def rung_for(job_id: int, failures: int) -> Rung:
             return self._rung_for(plans[job_id][0], specs[job_id], failures)

@@ -9,6 +9,7 @@ from repro.util.intlog import (
     split_evenly,
 )
 from repro.util.validation import (
+    NonFiniteInputError,
     check_banded,
     check_positive_int,
     check_power_of_two,
@@ -24,6 +25,7 @@ from repro.util.matrices import (
 )
 
 __all__ = [
+    "NonFiniteInputError",
     "ceil_div",
     "ilog2",
     "is_power_of_two",

@@ -51,11 +51,20 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
 
 
+class NonFiniteInputError(ValueError):
+    """A matrix holds NaN or Inf entries, so it has no meaningful spectrum."""
+
+
 def check_symmetric(a: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
-    """Validate that ``a`` is symmetric to within ``tol``, relative to
-    ``max(1, ‖A‖_F)`` so well-conditioned but badly scaled inputs (entries
-    of order 1e6, say) are judged by their own magnitude."""
+    """Validate that ``a`` is finite and symmetric to within ``tol``, relative
+    to ``max(1, ‖A‖_F)`` so well-conditioned but badly scaled inputs
+    (entries of order 1e6, say) are judged by their own magnitude.
+
+    A NaN or Inf entry raises :class:`NonFiniteInputError` (NaN compares
+    false, so the symmetry test alone would let it through)."""
     a = check_square(a, name)
+    if not np.isfinite(a).all():
+        raise NonFiniteInputError(f"{name} has non-finite (NaN or Inf) entries")
     scale = max(1.0, frobenius_norm(a))
     if np.abs(a - a.T).max(initial=0.0) > tol * scale:
         raise ValueError(f"{name} is not symmetric to tolerance {tol}")

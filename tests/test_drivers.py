@@ -138,3 +138,48 @@ class TestFinishSequential:
         band = DistBandMatrix(m, a, 1, m.world)
         ev = finish_sequential(m, band)
         assert eig_err(a, ev) < 1e-10
+
+
+class TestSolverBoundary:
+    """The input envelope at the ``eigensolve_2p5d`` boundary."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_typed_error(self, bad):
+        from repro.util.validation import NonFiniteInputError
+
+        a = random_symmetric(16, seed=4)
+        a[3, 5] = a[5, 3] = bad
+        with pytest.raises(NonFiniteInputError, match="non-finite"):
+            eigensolve_2p5d(BSPMachine(4), a)
+        assert issubclass(NonFiniteInputError, ValueError)
+
+    def test_one_by_one_matrix_is_its_own_spectrum(self):
+        res = eigensolve_2p5d(BSPMachine(1), np.array([[-2.5]]))
+        assert np.array_equal(res.eigenvalues, [-2.5])
+        assert res.cost.flops == 0.0
+
+    @pytest.mark.parametrize("n,p", [(1, 1), (12, 1), (48, 4), (64, 16)])
+    def test_tridiagonal_stop_completes_bit_identically(self, n, p):
+        from repro.eig import tridiagonalize_2p5d
+        from repro.linalg.tridiag import sturm_bisection_eigenvalues
+
+        a = random_symmetric(n, seed=n + p)
+        full_m, part_m = BSPMachine(p, spans=True), BSPMachine(p, spans=True)
+        full = eigensolve_2p5d(full_m, a, delta=2.0 / 3.0)
+        part = tridiagonalize_2p5d(part_m, a, delta=2.0 / 3.0)
+        assert part.eigenvalues is None and full.tridiagonal is None
+        assert np.array_equal(sturm_bisection_eigenvalues(*part.tridiagonal), full.eigenvalues)
+        assert part.cost == full.cost
+        assert part.stages == full.stages
+        assert [ev.as_dict() for ev in part_m.spans.events] == [
+            ev.as_dict() for ev in full_m.spans.events
+        ]
+
+    def test_tridiagonal_stop_refuses_a_faulty_machine(self):
+        from repro.eig import tridiagonalize_2p5d
+        from repro.faults import FaultPlan, FaultyMachine
+        from repro.faults.plan import SCENARIOS
+
+        machine = FaultyMachine(4, plan=FaultPlan(SCENARIOS["chaos"], 1))
+        with pytest.raises(ValueError, match="fault"):
+            tridiagonalize_2p5d(machine, random_symmetric(16, seed=1))

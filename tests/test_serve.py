@@ -236,6 +236,73 @@ class TestService:
             else:
                 assert r.error_type  # typed, never a bare failure
 
+    def test_stacked_finish_matches_single_shot_in_both_worker_modes(self, monkeypatch):
+        from repro.serve import service as svc
+
+        workload = scf_trace(iterations=3, kpoint_sizes=(8, 12, 16), seed=2)
+        assert all(count >= 3 for count in workload.sizes().values())
+        stacks = []
+        real = svc.sturm_bisection_eigenvalues
+
+        def recording(d, e, *args, **kwargs):
+            stacks.append(np.shape(d))
+            return real(d, e, *args, **kwargs)
+
+        monkeypatch.setattr(svc, "sturm_bisection_eigenvalues", recording)
+        pool = MachinePool(2, 8, PARAMS)
+        inline = EigenService(pool, TuningCache()).run_workload(workload)
+        assert inline.ok_jobs == inline.jobs
+        assert verify_against_single_shot(inline.results, PARAMS) == []
+        # one stacked bisection per plan (one plan per size), three lanes each
+        assert sorted(stacks) == [(3, 8), (3, 12), (3, 16)]
+        forked = EigenService(pool, TuningCache(), workers=2).run_workload(workload)
+        for a, b in zip(inline.results, forked.results):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert a.sim_cost == b.sim_cost
+        assert serve_bench.deterministic_summary(
+            forked.summary()
+        ) == serve_bench.deterministic_summary(inline.summary())
+
+    def test_faulted_payloads_finish_guarded_in_place(self, monkeypatch):
+        from repro.eig import driver
+        from repro.serve import service as svc
+
+        guarded = []
+        real_guard = driver.guard_spectrum
+
+        def recording_guard(machine, evals, n, root):
+            real_guard(machine, evals, n, root)
+            guarded.append(np.array(evals))
+
+        stacks = []
+        real_sturm = svc.sturm_bisection_eigenvalues
+
+        def recording_sturm(d, e, *args, **kwargs):
+            stacks.append(np.shape(d))
+            return real_sturm(d, e, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "guard_spectrum", recording_guard)
+        monkeypatch.setattr(svc, "sturm_bisection_eigenvalues", recording_sturm)
+        service = EigenService(
+            MachinePool(2, 8, PARAMS), TuningCache(), faults="chaos", fault_seed0=100
+        )
+        workload = scf_trace(iterations=3, kpoint_sizes=(8, 12, 16), seed=2)
+        report = service.run_workload(workload)
+        assert report.jobs == len(workload.jobs)
+        assert guarded
+        # faulted attempts never join a stack; only the clean replicated
+        # fallback reaches the service's bisection, one job at a time
+        assert all(shape[0] == 1 for shape in stacks)
+        for r in report.results:
+            if not r.ok:
+                assert r.error_type  # typed, never a bare failure
+                continue
+            a = random_symmetric(r.n, seed=r.seed)
+            assert reference_spectrum_error(a, r.eigenvalues) < 1e-6
+            if not r.degraded:
+                # served exactly the spectrum its own finish guarded
+                assert any(np.array_equal(r.eigenvalues, g) for g in guarded)
+
     def test_escalation_ladder_ends_replicated(self):
         """The retry ladder: primary → same-plan → grid-shrink → replicated."""
         pool = MachinePool(2, 8, PARAMS)

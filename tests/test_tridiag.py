@@ -121,3 +121,65 @@ class TestClusteredSpectra:
         ref = np.linalg.eigvalsh(a)
         t = np.linalg.eigvalsh(a)  # sanity anchor
         assert np.abs(np.sort(vals) - ref).max() < 1e-7
+
+
+class TestStackedBisection:
+    """The (J, n) form of the one bisection kernel."""
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 5, 8, 13]),
+        exponents=st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_separate_calls_bit_for_bit(self, n, exponents, seed):
+        # Lanes of different scale converge after different iteration counts.
+        r = np.random.default_rng(seed)
+        scales = 10.0 ** np.array(exponents, dtype=float)
+        d = r.standard_normal((len(scales), n)) * scales[:, None]
+        e = r.standard_normal((len(scales), n - 1)) * scales[:, None]
+        stacked = sturm_bisection_eigenvalues(d, e)
+        assert stacked.shape == d.shape
+        for lane in range(len(scales)):
+            alone = sturm_bisection_eigenvalues(d[lane], e[lane])
+            assert np.array_equal(stacked[lane], alone)
+
+    def test_empty_stack(self):
+        assert sturm_bisection_eigenvalues(np.zeros((0, 4)), np.zeros((0, 3))).shape == (0, 4)
+
+    def test_stacked_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            sturm_bisection_eigenvalues(np.ones((2, 4)), np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            sturm_bisection_eigenvalues(np.ones((2, 4)), np.ones((3, 3)))
+
+
+class TestScaleInvariance:
+    """Padding and stopping tolerance follow the spectrum's own scale."""
+
+    @given(
+        exponent=st.sampled_from([-150, -100, -20, -1, 0, 1, 20, 100, 150]),
+        n=st.integers(2, 16),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sturm_ql_and_oracle_agree_at_any_scale(self, exponent, n, seed):
+        r = np.random.default_rng(seed)
+        s = 10.0 ** exponent
+        d = r.uniform(-1.0, 1.0, n) * s
+        e = r.uniform(-1.0, 1.0, n - 1) * s
+        ref = np.linalg.eigvalsh(tridiag_dense(d, e))
+        tol = 1e-12 * max(np.abs(ref).max(), np.abs(d).max())
+        assert np.abs(sturm_bisection_eigenvalues(d, e) - ref).max() <= tol
+        assert np.abs(tridiagonal_eigenvalues_ql(d, e) - ref).max() <= tol
+
+    def test_tiny_spectrum_is_not_rounded_to_the_pad(self):
+        r = np.random.default_rng(7)
+        d, e = r.standard_normal(10) * 1e-150, r.standard_normal(9) * 1e-150
+        ref = np.linalg.eigvalsh(tridiag_dense(d, e))
+        got = sturm_bisection_eigenvalues(d, e)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zero_matrix(self):
+        assert np.array_equal(sturm_bisection_eigenvalues(np.zeros(5), np.zeros(4)), np.zeros(5))
+        assert gershgorin_interval(np.zeros(3), np.zeros(2)) == (0.0, 0.0)
