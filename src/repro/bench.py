@@ -24,7 +24,8 @@ Every case runs on the vectorized ``array`` engine (timed, median of
 ``--repeats``) and on the pre-vectorization ``scalar`` oracle; their
 :class:`~repro.bsp.counters.CostReport`\\ s must be **bit-identical** (per
 rank, not just in aggregate) or the run fails.  Results go to
-``benchmarks/results/BENCH_engine.json``:
+``benchmarks/results/BENCH_engine.json`` (a fresh output, never committed;
+the gated baseline is the root ``BENCH_engine.json``):
 
 ``wall_s``               median wall-clock of the vectorized engine
 ``scalar_wall_s``        median wall-clock of the scalar oracle

@@ -28,7 +28,7 @@ from repro.bsp.kernels import local_matmul
 from repro.bsp.machine import BSPMachine
 
 
-def _charge_split(machine: BSPMachine, group: RankGroup, words_per_rank: float, tag: str) -> None:
+def _charge_split(machine: BSPMachine, group: RankGroup, words_per_rank: float) -> None:
     """Charge an operand re-spreading step: each rank sends and receives
     ``words_per_rank`` words, one superstep."""
     if words_per_rank <= 0:
@@ -36,7 +36,6 @@ def _charge_split(machine: BSPMachine, group: RankGroup, words_per_rank: float, 
         return
     machine.charge_comm_batch(group, words_per_rank, words_per_rank)
     machine.superstep(group, 1)
-    machine.trace.record("mm_split", group.ranks, words=words_per_rank * group.size, tag=tag)
 
 
 def _rec(
@@ -45,7 +44,6 @@ def _rec(
     b: np.ndarray,
     group: RankGroup,
     memory_words: float,
-    tag: str,
 ) -> np.ndarray:
     m, n = a.shape
     k = b.shape[1]
@@ -65,48 +63,47 @@ def _rec(
         # Split m: B becomes twice as dense per rank.
         extra = n * k / g
         if bfs_ok(extra) or g == 1:
-            _charge_split(machine, group, extra, tag)
+            _charge_split(machine, group, extra)
             g1, g2 = group.split(2)
-            c1 = _rec(machine, a[: m // 2], b, g1, memory_words, tag)
-            c2 = _rec(machine, a[m // 2 :], b, g2, memory_words, tag)
+            c1 = _rec(machine, a[: m // 2], b, g1, memory_words)
+            c2 = _rec(machine, a[m // 2 :], b, g2, memory_words)
             return np.vstack([c1, c2])
         # DFS: both halves on the full group, operands restreamed each pass.
-        _charge_split(machine, group, (m * n / 2 + n * k) / g, tag + ":dfs")
-        c1 = _rec(machine, a[: m // 2], b, group, memory_words, tag)
-        _charge_split(machine, group, (m * n / 2 + n * k) / g, tag + ":dfs")
-        c2 = _rec(machine, a[m // 2 :], b, group, memory_words, tag)
+        _charge_split(machine, group, (m * n / 2 + n * k) / g)
+        c1 = _rec(machine, a[: m // 2], b, group, memory_words)
+        _charge_split(machine, group, (m * n / 2 + n * k) / g)
+        c2 = _rec(machine, a[m // 2 :], b, group, memory_words)
         return np.vstack([c1, c2])
     if k >= n:
         # Split k: A becomes twice as dense per rank.
         extra = m * n / g
         if bfs_ok(extra):
-            _charge_split(machine, group, extra, tag)
+            _charge_split(machine, group, extra)
             g1, g2 = group.split(2)
-            c1 = _rec(machine, a, b[:, : k // 2], g1, memory_words, tag)
-            c2 = _rec(machine, a, b[:, k // 2 :], g2, memory_words, tag)
+            c1 = _rec(machine, a, b[:, : k // 2], g1, memory_words)
+            c2 = _rec(machine, a, b[:, k // 2 :], g2, memory_words)
             return np.hstack([c1, c2])
-        _charge_split(machine, group, (m * n + n * k / 2) / g, tag + ":dfs")
-        c1 = _rec(machine, a, b[:, : k // 2], group, memory_words, tag)
-        _charge_split(machine, group, (m * n + n * k / 2) / g, tag + ":dfs")
-        c2 = _rec(machine, a, b[:, k // 2 :], group, memory_words, tag)
+        _charge_split(machine, group, (m * n + n * k / 2) / g)
+        c1 = _rec(machine, a, b[:, : k // 2], group, memory_words)
+        _charge_split(machine, group, (m * n + n * k / 2) / g)
+        c2 = _rec(machine, a, b[:, k // 2 :], group, memory_words)
         return np.hstack([c1, c2])
     # Split n (inner): partial C's must be summed across the halves.
     extra = m * k / g
     if bfs_ok(extra):
         g1, g2 = group.split(2)
-        c1 = _rec(machine, a[:, : n // 2], b[: n // 2], g1, memory_words, tag)
-        c2 = _rec(machine, a[:, n // 2 :], b[n // 2 :], g2, memory_words, tag)
+        c1 = _rec(machine, a[:, : n // 2], b[: n // 2], g1, memory_words)
+        c2 = _rec(machine, a[:, n // 2 :], b[n // 2 :], g2, memory_words)
         per_rank = m * k / g
         machine.charge_comm_batch(group, per_rank, per_rank)
         machine.charge_flops(group, per_rank)
         machine.superstep(group, 1)
-        machine.trace.record("mm_reduce", group.ranks, words=float(m * k), tag=tag)
         return c1 + c2
     # DFS over n: sequential partial sums on the whole group.
-    _charge_split(machine, group, (m * n + n * k) / (2 * g), tag + ":dfs")
-    c1 = _rec(machine, a[:, : n // 2], b[: n // 2], group, memory_words, tag)
-    _charge_split(machine, group, (m * n + n * k) / (2 * g), tag + ":dfs")
-    c2 = _rec(machine, a[:, n // 2 :], b[n // 2 :], group, memory_words, tag)
+    _charge_split(machine, group, (m * n + n * k) / (2 * g))
+    c1 = _rec(machine, a[:, : n // 2], b[: n // 2], group, memory_words)
+    _charge_split(machine, group, (m * n + n * k) / (2 * g))
+    c2 = _rec(machine, a[:, n // 2 :], b[n // 2 :], group, memory_words)
     machine.charge_flops(group, m * k / g)
     return c1 + c2
 
@@ -118,7 +115,6 @@ def carma_matmul(
     b: np.ndarray,
     memory_words: float = math.inf,
     charge_redistribution: bool = True,
-    tag: str = "carma",
 ) -> np.ndarray:
     """Multiply A (m×n) by B (n×k) on ``group`` with CARMA's cost profile.
 
@@ -141,7 +137,7 @@ def carma_matmul(
             per_rank = (m * n + n * k) / group.size
             machine.charge_comm_batch(group, per_rank, per_rank)
             machine.superstep(group, 1)
-        c = _rec(machine, a, b, group, memory_words, tag)
+        c = _rec(machine, a, b, group, memory_words)
         if machine.faults.enabled:
             from repro.faults.abft import abft_check  # late import: faults wraps bsp
 

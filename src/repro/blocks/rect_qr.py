@@ -42,7 +42,6 @@ def _rect_qr_thin(
     qmax: int,
     delta: float,
     base25d: bool,
-    tag: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     g = group.size
@@ -53,9 +52,9 @@ def _rect_qr_thin(
     if g == 1 or m <= 2 * n:
         sub = group.take(min(g, max(1, qmax)))
         if base25d and delta > 0.5 and sub.size >= 8:
-            u, t, r = square_qr_25d(machine, sub, a, delta=delta, tag=f"{tag}:base25")
+            u, t, r = square_qr_25d(machine, sub, a, delta=delta)
         else:
-            u, t, r = square_qr(machine, sub, a, tag=f"{tag}:base")
+            u, t, r = square_qr(machine, sub, a)
         return expand_q(u, t), r
 
     # Line 3: r row panels on disjoint subsets.
@@ -70,20 +69,20 @@ def _rect_qr_thin(
     rs: list[np.ndarray] = []
     for i, sub in enumerate(subgroups):
         ai = a[offs[i] : offs[i + 1], :]
-        wi, ri = _rect_qr_thin(machine, sub, ai, qmax, delta, base25d, tag=f"{tag}:leaf{i}")
+        wi, ri = _rect_qr_thin(machine, sub, ai, qmax, delta, base25d)
         ws.append(wi)
         rs.append(ri)
 
     # Line 7: recursive QR of the stacked R factors on the whole group.
     stacked = np.vstack(rs)
-    z, r_final = _rect_qr_thin(machine, group, stacked, qmax, delta, base25d, tag=f"{tag}:stack")
+    z, r_final = _rect_qr_thin(machine, group, stacked, qmax, delta, base25d)
 
     # Lines 9–11: Q_i = W_i · Z_i, concurrent per subset.
     q_blocks: list[np.ndarray] = []
     for i, sub in enumerate(subgroups):
         zi = z[i * n : (i + 1) * n, :]
         q_blocks.append(
-            carma_matmul(machine, sub, ws[i], zi, charge_redistribution=False, tag=f"{tag}:mm{i}")
+            carma_matmul(machine, sub, ws[i], zi, charge_redistribution=False)
         )
     machine.superstep(group, 1)
     return np.vstack(q_blocks), r_final
@@ -97,7 +96,6 @@ def rect_qr(
     delta: float = 0.5,
     base25d: bool = False,
     charge_redistribution: bool = True,
-    tag: str = "rect_qr",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QR of an m×n matrix (m ≥ n) on ``group``, in Householder form.
 
@@ -117,5 +115,5 @@ def rect_qr(
             per_rank = m * n / group.size
             machine.charge_comm_batch(group, per_rank, per_rank)
             machine.superstep(group, 1)
-        q_thin, r = _rect_qr_thin(machine, group, a, qmax, delta, base25d, tag)
-        return reconstruct_householder(machine, group, q_thin, r, tag=tag)
+        q_thin, r = _rect_qr_thin(machine, group, a, qmax, delta, base25d)
+        return reconstruct_householder(machine, group, q_thin, r)

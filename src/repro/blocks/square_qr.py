@@ -44,7 +44,6 @@ def square_qr(
     group: RankGroup,
     a: np.ndarray,
     panel: int | None = None,
-    tag: str = "square_qr",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Panel-recursive QR of an m×n matrix with m ≤ ~2n on ``group``.
 
@@ -67,7 +66,7 @@ def square_qr(
             j1 = min(j0 + panel, n)
             nb = j1 - j0
             # Panel QR by TSQR on the group (rank count self-limits to rows/nb).
-            up, tp, rp = tsqr(machine, group, a[j0:, j0:j1], tag=f"{tag}:panel{j0}")
+            up, tp, rp = tsqr(machine, group, a[j0:, j0:j1])
             a[j0 : j0 + nb, j0:j1] = rp
             a[j0 + nb :, j0:j1] = 0.0
             # Trailing update A[j0:, j1:] ← Qᵀ A[j0:, j1:]: two thin products,
@@ -83,5 +82,4 @@ def square_qr(
                 machine.charge_flops(group, matmul_flops(j0, m - j0, nb) / g)
             t[j0:j1, j0:j1] = tp
     r = np.triu(a[:n, :])
-    machine.trace.record("square_qr", group.ranks, flops=2.0 * m * n * n, tag=tag)
     return u, t, r

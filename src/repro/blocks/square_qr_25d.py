@@ -53,7 +53,6 @@ def square_qr_25d(
     a: np.ndarray,
     delta: float = 2.0 / 3.0,
     panel: int | None = None,
-    tag: str = "sqr25d",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QR of an m×n matrix (m ≥ n) with 2.5D (replicated) cost structure.
 
@@ -70,7 +69,7 @@ def square_qr_25d(
     if grid is None or grid.size < 4:
         from repro.blocks.square_qr import square_qr  # late: avoid cycle
 
-        return square_qr(machine, group, a, panel=panel, tag=tag)
+        return square_qr(machine, group, a, panel=panel)
 
     q = grid.shape[0]
     ggroup = grid.group()
@@ -90,6 +89,9 @@ def square_qr_25d(
 
         u = np.zeros((m, n))
         t = np.zeros((n, n))
+        # Cache identity of the replicated aggregate U: shared by this
+        # call's panels, never by another call's.
+        u_key = (object(), "U")
         for j0 in range(0, n, panel):
             j1 = min(j0 + panel, n)
             nb = j1 - j0
@@ -99,15 +101,13 @@ def square_qr_25d(
                 # aggregate U replicated (two streaming products + a small one).
                 col = a[:, j0:j1]
                 u_prev = u[:, :j0]
-                w1 = streaming_matmul(machine, grid, u_prev.T, col, a_key=(tag, "U"), tag=f"{tag}:upd")
+                w1 = streaming_matmul(machine, grid, u_prev.T, col, a_key=u_key)
                 w2 = t[:j0, :j0].T @ w1  # cost: free(charged via charge_flops on the next line)
                 machine.charge_flops(ggroup, 2.0 * j0 * j0 * nb / grid.size)
-                a[:, j0:j1] = col - streaming_matmul(
-                    machine, grid, u_prev, w2, a_key=(tag, "U"), tag=f"{tag}:upd"
-                )
+                a[:, j0:j1] = col - streaming_matmul(machine, grid, u_prev, w2, a_key=u_key)
             pan = a[j0:, j0:j1].copy()
             # Panel factorization: TSQR + reconstruction on the whole grid group.
-            up, tp, rp = tsqr(machine, ggroup, pan, tag=f"{tag}:panel{j0}")
+            up, tp, rp = tsqr(machine, ggroup, pan)
             a[j0 : j0 + nb, j0:j1] = rp
             a[j0 + nb :, j0:j1] = 0.0
             # Merge into the aggregate: T12 = −T11 (U_prevᵀ U_p) T22.
@@ -122,5 +122,4 @@ def square_qr_25d(
             machine.charge_comm_batch(ggroup, rep, rep)
             machine.superstep(ggroup, 1)
     r = np.triu(a[:n, :])
-    machine.trace.record("square_qr_25d", ggroup.ranks, flops=2.0 * m * n * n, tag=tag)
     return u, t, r

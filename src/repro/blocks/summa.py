@@ -25,7 +25,6 @@ def summa_matmul(
     a: np.ndarray,
     b: np.ndarray,
     panel: int | None = None,
-    tag: str = "summa",
 ) -> np.ndarray:
     """Compute C = A·B on a 2-D grid with SUMMA's broadcast structure.
 
@@ -72,5 +71,4 @@ def summa_matmul(
 
             c = machine.faults.corrupt_output(c, "summa")
             abft_check(machine, group, a, b, c, site="summa")
-    machine.trace.record("summa", group.ranks, words=float(m * n + n * k), flops=2.0 * m * n * k, tag=tag)
     return c

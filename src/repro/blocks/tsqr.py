@@ -29,7 +29,6 @@ def reconstruct_householder(
     group: RankGroup,
     q_thin: np.ndarray,
     r: np.ndarray,
-    tag: str = "hh_reconstruct",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Householder reconstruction with Corollary III.7 cost charges.
 
@@ -53,7 +52,6 @@ def reconstruct_householder(
             machine.charge_comm_batch(group, per_rank, per_rank)
             machine.superstep(group, max(1, int(np.ceil(np.log2(g)))))
         machine.mem_stream(group[0], float(u.size + t.size))
-    machine.trace.record("reconstruct", group.ranks, flops=4.0 * m * n * n, tag=tag)
     return u, t, r_signed
 
 
@@ -61,7 +59,6 @@ def tsqr_thin(
     machine: BSPMachine,
     group: RankGroup,
     a: np.ndarray,
-    tag: str = "tsqr",
 ) -> tuple[np.ndarray, np.ndarray]:
     """TSQR returning the explicit thin Q and R (no reconstruction).
 
@@ -152,7 +149,6 @@ def tsqr_thin(
             q_blocks.append(local_matmul(machine, rank, qleaf, z))
         machine.superstep(grp, 1)
         q_thin = np.vstack(q_blocks)
-    machine.trace.record("tsqr", grp.ranks, flops=2.0 * m * n * n, tag=tag)
     return q_thin, r_final
 
 
@@ -160,7 +156,6 @@ def tsqr(
     machine: BSPMachine,
     group: RankGroup,
     a: np.ndarray,
-    tag: str = "tsqr",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """TSQR in Householder form: returns ``(U, T, R)``.
 
@@ -168,6 +163,6 @@ def tsqr(
     triangular.  This is TSQR + Householder reconstruction, the combination
     every QR call site in Section IV relies on.
     """
-    q_thin, r = tsqr_thin(machine, group, a, tag=tag)
+    q_thin, r = tsqr_thin(machine, group, a)
     p_eff = max(1, min(group.size, a.shape[0] // a.shape[1]))
-    return reconstruct_householder(machine, group.take(p_eff), q_thin, r, tag=tag)
+    return reconstruct_householder(machine, group.take(p_eff), q_thin, r)

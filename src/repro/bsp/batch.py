@@ -43,13 +43,12 @@ def batched_charging_ok(machine: BSPMachine) -> bool:
 
     Batched paths bypass the machine's per-charge hooks, so they are only
     sound on a plain :class:`BSPMachine` (no verifying subclass) with every
-    observer — event trace, span attribution, per-rank metrics, fault
-    injection — disabled.  Observed runs fall back to the per-step path,
-    which keeps their artifacts byte-identical by construction.
+    observer — span attribution, per-rank metrics, fault injection —
+    disabled.  Observed runs fall back to the per-step path, which keeps
+    their artifacts byte-identical by construction.
     """
     return (
         type(machine) is BSPMachine
-        and not machine.trace.enabled
         and not machine.spans.enabled
         and not machine.metrics.enabled
         and not machine.faults.enabled
@@ -281,7 +280,7 @@ class KernelTape:
         if self._scratch is None:
             self._scratch = BSPMachine(
                 self.machine.p, params=self.machine.params,
-                trace=False, engine="array", spans=False, metrics=False,
+                engine="array", spans=False, metrics=False,
             )
         recorder = _RecordingStore()
         saved = self._scratch.counters
@@ -301,8 +300,7 @@ class KernelTape:
 
             dummy = self._rng.standard_normal((m, n))
             tape = self._record(
-                lambda sm: rect_qr(sm, group, dummy, charge_redistribution=False,
-                                   tag="tape")
+                lambda sm: rect_qr(sm, group, dummy, charge_redistribution=False)
             )
             _TAPE_CACHE[key] = tape
         log.extend_tape(tape)
@@ -317,8 +315,7 @@ class KernelTape:
             a = self._rng.standard_normal((m, n))
             b = self._rng.standard_normal((n, k))
             tape = self._record(
-                lambda sm: carma_matmul(sm, group, a, b,
-                                        charge_redistribution=False, tag="tape")
+                lambda sm: carma_matmul(sm, group, a, b, charge_redistribution=False)
             )
             _TAPE_CACHE[key] = tape
         log.extend_tape(tape)

@@ -22,8 +22,6 @@ charges the whole group through the machine's batched entry points
 (:meth:`~repro.bsp.machine.BSPMachine.charge_comm_batch`,
 :meth:`~repro.bsp.machine.BSPMachine.charge_comm_matrix`), so a collective
 costs O(1) numpy ops regardless of group size.
-
-Every primitive accepts ``tag`` for the machine trace.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ def _root_index(group: RankGroup, root: int | None) -> tuple[int, int]:
     return root, group.index_of(root)
 
 
-def bcast(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None, tag: str = "") -> None:
+def bcast(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None) -> None:
     """Broadcast ``words`` from ``root`` to the group (two-phase optimal)."""
     _check(machine, group, words)
     root, ri = _root_index(group, root)
@@ -87,10 +85,9 @@ def bcast(machine: BSPMachine, group: RankGroup, words: float, root: int | None 
     with machine.span("bcast", group=group):
         _charge()
         _retransmit_on_drop(machine, "bcast", group, _charge)
-    machine.trace.record("bcast", group.ranks, words=words, tag=tag, root=root)
 
 
-def reduce(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None, tag: str = "") -> None:
+def reduce(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None) -> None:
     """Reduce ``words`` contributions from every rank onto ``root``."""
     _check(machine, group, words)
     root, ri = _root_index(group, root)
@@ -120,10 +117,9 @@ def reduce(machine: BSPMachine, group: RankGroup, words: float, root: int | None
     with machine.span("reduce", group=group):
         _charge()
         _retransmit_on_drop(machine, "reduce", group, _charge)
-    machine.trace.record("reduce", group.ranks, words=words, tag=tag, root=root)
 
 
-def allreduce(machine: BSPMachine, group: RankGroup, words: float, tag: str = "") -> None:
+def allreduce(machine: BSPMachine, group: RankGroup, words: float) -> None:
     """Reduce ``words`` contributions and leave the result on every rank."""
     _check(machine, group, words)
     g = group.size
@@ -139,10 +135,9 @@ def allreduce(machine: BSPMachine, group: RankGroup, words: float, tag: str = ""
     with machine.span("allreduce", group=group):
         _charge()
         _retransmit_on_drop(machine, "allreduce", group, _charge)
-    machine.trace.record("allreduce", group.ranks, words=words, tag=tag)
 
 
-def reduce_scatter(machine: BSPMachine, group: RankGroup, words_total: float, tag: str = "") -> None:
+def reduce_scatter(machine: BSPMachine, group: RankGroup, words_total: float) -> None:
     """Each rank contributes ``words_total``; each ends with its 1/g share summed."""
     _check(machine, group, words_total)
     g = group.size
@@ -158,10 +153,9 @@ def reduce_scatter(machine: BSPMachine, group: RankGroup, words_total: float, ta
     with machine.span("reduce_scatter", group=group):
         _charge()
         _retransmit_on_drop(machine, "reduce_scatter", group, _charge)
-    machine.trace.record("reduce_scatter", group.ranks, words=words_total, tag=tag)
 
 
-def allgather(machine: BSPMachine, group: RankGroup, words_each: float, tag: str = "") -> None:
+def allgather(machine: BSPMachine, group: RankGroup, words_each: float) -> None:
     """Each rank contributes ``words_each``; everyone ends with all g blocks."""
     _check(machine, group, words_each)
     g = group.size
@@ -175,10 +169,9 @@ def allgather(machine: BSPMachine, group: RankGroup, words_each: float, tag: str
     with machine.span("allgather", group=group):
         _charge()
         _retransmit_on_drop(machine, "allgather", group, _charge)
-    machine.trace.record("allgather", group.ranks, words=g * words_each, tag=tag)
 
 
-def gather(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None, tag: str = "") -> None:
+def gather(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None) -> None:
     """Each non-root rank sends its ``words_each`` block to ``root``."""
     _check(machine, group, words_each)
     root, ri = _root_index(group, root)
@@ -196,10 +189,9 @@ def gather(machine: BSPMachine, group: RankGroup, words_each: float, root: int |
     with machine.span("gather", group=group):
         _charge()
         _retransmit_on_drop(machine, "gather", group, _charge)
-    machine.trace.record("gather", group.ranks, words=g * words_each, tag=tag, root=root)
 
 
-def scatter(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None, tag: str = "") -> None:
+def scatter(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None) -> None:
     """``root`` sends a distinct ``words_each`` block to each other rank."""
     _check(machine, group, words_each)
     root, ri = _root_index(group, root)
@@ -217,10 +209,9 @@ def scatter(machine: BSPMachine, group: RankGroup, words_each: float, root: int 
     with machine.span("scatter", group=group):
         _charge()
         _retransmit_on_drop(machine, "scatter", group, _charge)
-    machine.trace.record("scatter", group.ranks, words=g * words_each, tag=tag, root=root)
 
 
-def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, int], float], tag: str = "") -> None:
+def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, int], float]) -> None:
     """Arbitrary point-to-point exchange completed in one superstep.
 
     ``transfers[(src, dst)]`` is the word count moved from src to dst;
@@ -232,7 +223,6 @@ def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, i
     sends: dict[int, float] = {}
     recvs: dict[int, float] = {}
     pairs: list[tuple[int, int, float]] | None = [] if machine.metrics.enabled else None
-    total = 0.0
     for (src, dst), w in transfers.items():
         if w < 0:
             raise ValueError("transfer words must be nonnegative")
@@ -244,7 +234,6 @@ def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, i
         recvs[dst] = recvs.get(dst, 0.0) + w
         if pairs is not None:
             pairs.append((src, dst, float(w)))
-        total += w
     def _charge() -> None:
         machine.charge_comm(sends=sends, recvs=recvs, pairs=pairs)
         machine.superstep(group, 1)
@@ -252,10 +241,9 @@ def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, i
     with machine.span("alltoall", group=group):
         _charge()
         _retransmit_on_drop(machine, "alltoall", group, _charge)
-    machine.trace.record("alltoall", group.ranks, words=total, tag=tag)
 
 
-def alltoall_matrix(machine: BSPMachine, group: RankGroup, matrix, tag: str = "") -> None:
+def alltoall_matrix(machine: BSPMachine, group: RankGroup, matrix) -> None:
     """All-to-all from a dense g×g transfer matrix, one superstep.
 
     ``matrix[i, j]`` words move from ``group[i]`` to ``group[j]``; diagonal
@@ -271,13 +259,9 @@ def alltoall_matrix(machine: BSPMachine, group: RankGroup, matrix, tag: str = ""
     with machine.span("alltoall", group=group):
         _charge()
         _retransmit_on_drop(machine, "alltoall", group, _charge)
-    if machine.trace.enabled:
-        off = mat.copy()
-        np.fill_diagonal(off, 0.0)
-        machine.trace.record("alltoall", group.ranks, words=float(off.sum()), tag=tag)
 
 
-def p2p(machine: BSPMachine, src: int, dst: int, words: float, tag: str = "") -> None:
+def p2p(machine: BSPMachine, src: int, dst: int, words: float) -> None:
     """Point-to-point transfer; does NOT end a superstep (caller batches)."""
     if words < 0:
         raise ValueError("words must be nonnegative")
@@ -285,4 +269,3 @@ def p2p(machine: BSPMachine, src: int, dst: int, words: float, tag: str = "") ->
         return
     pairs = ((src, dst, float(words)),) if machine.metrics.enabled else None
     machine.charge_comm(sends={src: words}, recvs={dst: words}, pairs=pairs)
-    machine.trace.record("p2p", (src, dst), words=words, tag=tag)

@@ -59,8 +59,8 @@ def imbalance_of(values: np.ndarray, active: np.ndarray | None = None) -> float:
     """max/mean of ``values`` over the ``active`` mask (1.0 = balanced).
 
     The shared implementation behind :meth:`CostReport.imbalance`,
-    :meth:`repro.trace.report.SpanBreakdown.imbalance` and the profiler's
-    section table, so all three agree by construction.
+    :meth:`repro.trace.report.SpanBreakdown.imbalance` (and so the span
+    table's ``bal`` column), so they agree by construction.
     """
     vals = np.asarray(values, dtype=np.float64)
     if active is not None:

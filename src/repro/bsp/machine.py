@@ -38,7 +38,6 @@ from repro.bsp.cache import CacheModel
 from repro.bsp.counters import CostReport, CounterArray
 from repro.bsp.group import RankGroup
 from repro.bsp.params import MachineParams
-from repro.bsp.trace import Trace
 from repro.trace.spans import NULL_SPAN, SpanHandle, SpanRecorder
 from repro.util.validation import check_positive_int
 
@@ -114,7 +113,6 @@ class BSPMachine:
         self,
         p: int,
         params: MachineParams | None = None,
-        trace: bool = False,
         engine: str | None = None,
         spans: bool | None = None,
         metrics: bool | None = None,
@@ -124,7 +122,6 @@ class BSPMachine:
         self.engine = engine or os.environ.get("REPRO_ENGINE") or "array"
         self.counters = _make_store(self.engine, self.p)
         self.caches: list[CacheModel] = [CacheModel(self.params.cache_words) for _ in range(self.p)]
-        self.trace = Trace(enabled=trace)
         if spans is None:
             spans = os.environ.get("REPRO_SPANS", "") not in ("", "0")
         self.spans = SpanRecorder(self.counters, self.params, enabled=spans)
@@ -326,8 +323,6 @@ class BSPMachine:
         self.counters.add_supersteps(idx, count, unique=unique)
         if self.metrics.enabled:
             self.metrics.on_superstep(self.counters)
-        if self.trace.enabled:
-            self.trace.record("superstep", ranks if not isinstance(ranks, RankGroup) else ranks.ranks)
 
     # ------------------------------------------------------------------ #
     # vertical (memory <-> cache) traffic
@@ -438,7 +433,7 @@ class BSPMachine:
         return report
 
     def reset(self) -> None:
-        """Zero all engine state: counters, caches, traces, open spans.
+        """Zero all engine state: counters, caches, open spans, metrics.
 
         Both engines reset their stores *in place* (held per-rank views
         stay live), so a reset machine is indistinguishable from a fresh
@@ -446,7 +441,6 @@ class BSPMachine:
         """
         self.counters.reset()
         self.caches = [CacheModel(self.params.cache_words) for _ in range(self.p)]
-        self.trace.clear()
         self.spans.reset()
         self.metrics.reset()
 

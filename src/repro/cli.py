@@ -184,7 +184,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro import BSPMachine, eigensolve_2p5d
-    from repro.trace import write_chrome_trace
+    from repro.trace import chrome_trace, chrome_trace_per_rank, write_trace
     from repro.util import random_symmetric
 
     a = random_symmetric(args.n, seed=args.seed)
@@ -207,20 +207,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out = args.out
     if out is None:
         out = Path("benchmarks") / "results" / f"trace_eig_n{args.n}_p{args.p}.json"
-    path = write_chrome_trace(machine.spans, out, label=f"eigensolve_2p5d n={args.n} p={args.p}")
+    label = f"eigensolve_2p5d n={args.n} p={args.p}"
+    path = write_trace(chrome_trace(machine.spans, label=label), out)
     print(f"wrote {path} ({len(machine.spans.events)} spans; open in Perfetto or chrome://tracing)")
     if args.per_rank:
-        from repro.trace import write_chrome_trace_per_rank
-
         out = Path(out)
         per_rank_out = out.with_name(out.stem + ".per_rank" + out.suffix)
         snap = res.cost.metrics()
-        path = write_chrome_trace_per_rank(
-            machine.spans,
-            per_rank_out,
-            metrics=snap,
-            label=f"eigensolve_2p5d n={args.n} p={args.p} (per rank)",
-        )
+        doc = chrome_trace_per_rank(machine.spans, metrics=snap, label=f"{label} (per rank)")
+        path = write_trace(doc, per_rank_out)
         print(
             f"wrote {path} ({snap.p} rank tracks with memory/words counter series)"
         )

@@ -95,13 +95,12 @@ class DistBandMatrix:
         involved = RankGroup(tuple(dict.fromkeys(list(owners) + list(to_group))))
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(involved, 1)
-        self.machine.trace.record("band_fetch", involved.ranks, words=words, tag=tag)
         window = window.copy()
         if self.machine.faults.enabled:
             self.machine.faults.corrupt_window(window, f"fetch_window:{tag}")
         return window
 
-    def charge_store(self, rows: slice, cols: slice, from_group: RankGroup, tag: str = "store") -> None:
+    def charge_store(self, rows: slice, cols: slice, from_group: RankGroup) -> None:
         """Charge the write-back of a window from ``from_group`` to the
         owners of its columns (dual of :meth:`fetch_window`), without
         touching the data — callers that update ``data`` in place use this.
@@ -114,7 +113,6 @@ class DistBandMatrix:
         involved = RankGroup(tuple(dict.fromkeys(list(from_group) + list(owners))))
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(involved, 1)
-        self.machine.trace.record("band_store", involved.ranks, words=words, tag=tag)
 
     # -- batched variants (charge into a ChargeLog, one flush per stage) -- #
     #
@@ -123,7 +121,7 @@ class DistBandMatrix:
     # :class:`repro.bsp.batch.ChargeLog`; the log's single flush replays
     # them with order-preserving batch adds, so aggregate costs are
     # bit-identical to the per-step path.  Callers must hold
-    # ``batched_charging_ok(machine)`` — trace/fault hooks are skipped here.
+    # ``batched_charging_ok(machine)`` — fault hooks are skipped here.
 
     def fetch_window_batched(self, log, rows: slice, cols: slice, to_group: RankGroup) -> np.ndarray:
         """ChargeLog twin of :meth:`fetch_window`; returns the window copy."""
@@ -144,7 +142,7 @@ class DistBandMatrix:
                         owners.indices(), words / owners.size)
         log.superstep(np.union1d(from_group.indices(), owners.indices()), 1)
 
-    def store_window(self, rows: slice, cols: slice, values: np.ndarray, from_group: RankGroup, tag: str = "store") -> None:
+    def store_window(self, rows: slice, cols: slice, values: np.ndarray, from_group: RankGroup) -> None:
         """Write back a dense window from ``from_group`` to the owners.
 
         Symmetric counterpart of :meth:`fetch_window` (dual communication).
@@ -155,7 +153,7 @@ class DistBandMatrix:
             raise ValueError("window shape mismatch")
         self.data[rows, cols] = values
         self.data[cols, rows] = values.T
-        self.charge_store(rows, cols, from_group, tag=tag)
+        self.charge_store(rows, cols, from_group)
 
     def gather(self, target: int, tag: str = "band_gather") -> np.ndarray:
         """Collect the whole band on one rank (end of Algorithm IV.3)."""
@@ -170,7 +168,6 @@ class DistBandMatrix:
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(group, 1)
         self.machine.note_memory(target, float(self.words))
-        self.machine.trace.record("gather", group.ranks, words=recvs[target], tag=tag)
         if self.machine.faults.enabled:
             # NOTE: gather returns the live array, so a flip here corrupts
             # the band itself — exactly the failure the finish stage's
@@ -178,7 +175,7 @@ class DistBandMatrix:
             self.machine.faults.corrupt_window(self.data, f"band_gather:{tag}")
         return self.data
 
-    def redistribute(self, new_group: RankGroup, tag: str = "band_redist") -> "DistBandMatrix":
+    def redistribute(self, new_group: RankGroup) -> "DistBandMatrix":
         """Re-partition the columns over a (possibly smaller) group.
 
         Used between stages of Algorithm IV.3 ("Gather B onto Π̄"): charges
@@ -199,11 +196,9 @@ class DistBandMatrix:
         dst_ranks, dst_counts = np.unique(dst[mask], return_counts=True)
         sends = {int(r): float(k) * w for r, k in zip(src_ranks, src_counts)}
         recvs = {int(r): float(k) * w for r, k in zip(dst_ranks, dst_counts)}
-        moved = float(int(mask.sum())) * w
         involved = RankGroup(tuple(dict.fromkeys(list(self.group) + list(new_group))))
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(involved, 1)
-        self.machine.trace.record("band_redistribute", involved.ranks, words=moved, tag=tag)
         return new
 
     def with_bandwidth(self, new_b: int) -> "DistBandMatrix":

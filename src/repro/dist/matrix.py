@@ -61,7 +61,6 @@ class DistMatrix:
             share = data.size / max(1, group.size)
             machine.charge_comm_batch(group, share, share)
             machine.superstep(group, 1)
-            machine.trace.record("distribute", group.ranks, words=float(data.size), tag="from_global")
         return mat
 
     @classmethod
@@ -97,7 +96,7 @@ class DistMatrix:
     # ------------------------------------------------------------------ #
     # data motion (all charge the machine)
 
-    def replicate(self, layer_grids: list[ProcGrid], tag: str = "replicate") -> "DistMatrix":
+    def replicate(self, layer_grids: list[ProcGrid]) -> "DistMatrix":
         """Replicate onto each layer grid (cyclic layout per layer).
 
         Implemented as an allgather over each replication fiber: with the
@@ -135,21 +134,20 @@ class DistMatrix:
         all_ranks = RankGroup(tuple(dict.fromkeys(list(src_group) + group_ranks)))
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(all_ranks, 1)
-        self.machine.trace.record("replicate", all_ranks.ranks, words=total_recv, tag=tag)
         new_layout = ReplicatedLayout(layouts[0], layouts[1:])
         return DistMatrix(self.machine, self.data, new_layout)
 
-    def redistribute(self, new_layout: Layout, tag: str = "redistribute") -> "DistMatrix":
+    def redistribute(self, new_layout: Layout) -> "DistMatrix":
         """Move to a new layout; charges the actual owner-change histogram."""
         src = self.layout.primary if isinstance(self.layout, ReplicatedLayout) else self.layout
         transfers = transfer_histogram(src, new_layout, self.machine.p)
         involved = RankGroup(
             tuple(dict.fromkeys(list(src.ranks()) + list(new_layout.ranks())))
         )
-        collectives.alltoall(self.machine, involved, transfers, tag=tag)
+        collectives.alltoall(self.machine, involved, transfers)
         return DistMatrix(self.machine, self.data, new_layout)
 
-    def gather(self, target: int, tag: str = "gather") -> np.ndarray:
+    def gather(self, target: int) -> np.ndarray:
         """Collect the whole matrix on one rank; returns the global array."""
         src = self.layout.primary if isinstance(self.layout, ReplicatedLayout) else self.layout
         p = self.machine.p
@@ -160,7 +158,6 @@ class DistMatrix:
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(group, 1)
         self.machine.note_memory(target, float(self.data.size))
-        self.machine.trace.record("gather", group.ranks, words=recvs[target], tag=tag)
         return self.data
 
     # ------------------------------------------------------------------ #

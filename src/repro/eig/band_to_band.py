@@ -33,11 +33,11 @@ from repro.linalg.sbr import ChaseStep, chase_steps
 from repro.linalg.householder import compact_wy_qr_general
 
 
-def _charge_chase_qr(machine: BSPMachine, group: RankGroup, block: np.ndarray, tag: str) -> None:
+def _charge_chase_qr(machine: BSPMachine, group: RankGroup, block: np.ndarray) -> None:
     """Charge one chase block's QR on a group (rect-QR, or local when degenerate)."""
     m, ncols = block.shape
     if m >= ncols and group.size > 1:
-        rect_qr(machine, group, block, charge_redistribution=False, tag=tag)
+        rect_qr(machine, group, block, charge_redistribution=False)
     else:
         machine.charge_flops(group[0], qr_flops(max(m, ncols), min(m, ncols)))
         machine.superstep(group, 1)
@@ -61,7 +61,7 @@ def apply_chase_parallel(
     The band's *values* evolve via one direct compact-WY factorization and
     plain dense products per step — the same arithmetic the batched engine
     (:mod:`repro.eig.chase_batch`) performs — while the parallel kernels run
-    alongside purely for their charges, traces, spans and fault hooks (their
+    alongside purely for their charges, spans and fault hooks (their
     costs depend only on shapes and groups, their numerical results only in
     summation order).  Sharing one data evolution keeps window nonzero
     counts — the only value-dependent charges — identical across engines,
@@ -72,10 +72,10 @@ def apply_chase_parallel(
     with machine.span("chase_qr", group=qr_group):
         block = band.fetch_window(rows, cols, qr_group, tag=f"{tag}:qr_fetch")
         u, t, r = compact_wy_qr_general(block)
-        _charge_chase_qr(machine, qr_group, block, tag=f"{tag}:qr")
+        _charge_chase_qr(machine, qr_group, block)
         out = np.zeros_like(block)
         out[: r.shape[0], :] = r
-        band.store_window(rows, cols, out, qr_group, tag=f"{tag}:qr_store")
+        band.store_window(rows, cols, out, qr_group)
 
     if step.nc <= 0:
         return
@@ -87,22 +87,22 @@ def apply_chase_parallel(
         # IV.3's proof invokes it — for these outer shapes CARMA splits both
         # operands, beating any pattern that replicates U to the whole group.
         ut = u @ t  # cost: free(charged via the carma call on the next line)
-        carma_matmul(machine, upd_group, u, t, charge_redistribution=False, tag=f"{tag}:UT")
+        carma_matmul(machine, upd_group, u, t, charge_redistribution=False)
         w = bup @ ut  # cost: free(charged via the carma call on the next line)
-        carma_matmul(machine, upd_group, bup, ut, charge_redistribution=False, tag=f"{tag}:W")
+        carma_matmul(machine, upd_group, bup, ut, charge_redistribution=False)
         v = -w
         vrows = slice(step.ov, step.ov + step.nr)
         inner = u.T @ w[vrows, :]  # cost: free(charged via the carma call on the next line)
-        carma_matmul(machine, upd_group, u.T, w[vrows, :], charge_redistribution=False, tag=f"{tag}:V")
+        carma_matmul(machine, upd_group, u.T, w[vrows, :], charge_redistribution=False)
         v[vrows, :] += 0.5 * (u @ (t.T @ inner))  # cost: free(charged via charge_flops on the next line)
         machine.charge_flops(upd_group, 2.0 * u.size * t.shape[0] / upd_group.size)
         # Lines 21–22: two-sided rank-2h update of the window (both triangles;
         # the overlap block B[Iqr, Iqr] accumulates UVᵀ AND VUᵀ).
         uvt = u @ v.T  # cost: free(charged via the carma call on the next line)
-        carma_matmul(machine, upd_group, u, v.T, charge_redistribution=False, tag=f"{tag}:UVt")
+        carma_matmul(machine, upd_group, u, v.T, charge_redistribution=False)
         band.data[rows, up] += uvt
         band.data[up, rows] += uvt.T
-        band.charge_store(rows, up, upd_group, tag=f"{tag}:upd_store")
+        band.charge_store(rows, up, upd_group)
 
 
 def resolve_chase_engine(machine: BSPMachine, chase_engine: str | None = None) -> str:
@@ -111,7 +111,7 @@ def resolve_chase_engine(machine: BSPMachine, chase_engine: str | None = None) -
     Explicit argument wins, then the ``REPRO_CHASE_ENGINE`` environment
     variable, then "auto".  "auto" selects the batched engine exactly when
     :func:`repro.bsp.batch.batched_charging_ok` holds — observed runs
-    (trace, spans, metrics, fault injection, verifying machines) always get
+    (spans, metrics, fault injection, verifying machines) always get
     the per-step path so their artifacts are unchanged.
     """
     from repro.bsp.batch import batched_charging_ok
@@ -168,5 +168,4 @@ def band_to_band_2p5d(
                 apply_chase_parallel(machine, band, step, qr_group, upd_group, tag=tag)
 
     band.data[:] = (band.data + band.data.T) / 2.0
-    machine.trace.record("band_to_band", group.ranks, tag=tag)
     return DistBandMatrix(machine, band.data, h, group)

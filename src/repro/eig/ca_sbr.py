@@ -28,9 +28,7 @@ from repro.dist.banded import DistBandMatrix
 from repro.linalg.sbr import apply_chase_step, chase_steps
 
 
-def _run_chases_1d_batched(
-    machine: BSPMachine, band: DistBandMatrix, h: int, tag: str
-) -> DistBandMatrix:
+def _run_chases_1d_batched(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
     """Batched twin of :func:`_run_chases_1d` (same charges, one flush).
 
     Charges are computed from the vectorized schedule arrays and appended
@@ -76,14 +74,12 @@ def _run_chases_1d_batched(
     return DistBandMatrix(machine, band.data, h, group)
 
 
-def _run_chases_1d(
-    machine: BSPMachine, band: DistBandMatrix, h: int, tag: str
-) -> DistBandMatrix:
+def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
     """Drive all chase steps with 1-D column ownership and boundary syncs."""
     from repro.eig.band_to_band import resolve_chase_engine
 
     if resolve_chase_engine(machine) == "batched":
-        return _run_chases_1d_batched(machine, band, h, tag)
+        return _run_chases_1d_batched(machine, band, h)
     n, b = band.n, band.b
     group = band.group
     prev_owner: dict[int, int] = {}  # panel index -> owner of its last chase
@@ -102,35 +98,29 @@ def _run_chases_1d(
                 words = float(step.nr * (step.ncols + step.nc))
                 machine.charge_comm(sends={last: words}, recvs={owner: words})  # certify: count(n / h)
                 machine.superstep(RankGroup((last, owner)), 1)
-                machine.trace.record("sbr_handoff", (last, owner), words=words, tag=tag)
             prev_owner[step.i] = owner
             apply_chase_step(band.data, step)
     band.data[:] = (band.data + band.data.T) / 2.0
-    machine.trace.record("ca_sbr", group.ranks, tag=tag)
     return DistBandMatrix(machine, band.data, h, group)
 
 
-def ca_sbr_halve(machine: BSPMachine, band: DistBandMatrix, tag: str = "ca_sbr") -> DistBandMatrix:
+def ca_sbr_halve(machine: BSPMachine, band: DistBandMatrix) -> DistBandMatrix:
     """Halve the band-width (b → ⌈b/2⌉) with CA-SBR's 1-D pipeline."""
     if band.b < 2:
         raise ValueError("band-width must be at least 2 to halve")
-    return _run_chases_1d(machine, band, max(1, band.b // 2), tag)
+    return _run_chases_1d(machine, band, max(1, band.b // 2))
 
 
-def ca_sbr_reduce(
-    machine: BSPMachine, band: DistBandMatrix, target: int, tag: str = "ca_sbr"
-) -> DistBandMatrix:
+def ca_sbr_reduce(machine: BSPMachine, band: DistBandMatrix, target: int) -> DistBandMatrix:
     """Repeatedly halve until the band-width is at most ``target``."""
     if target < 1:
         raise ValueError("target band-width must be >= 1")
     while band.b > target:
-        band = _run_chases_1d(machine, band, max(target, band.b // 2), tag)
+        band = _run_chases_1d(machine, band, max(target, band.b // 2))
     return band
 
 
-def band_to_tridiagonal_1d(
-    machine: BSPMachine, band: DistBandMatrix, tag: str = "lang"
-) -> DistBandMatrix:
+def band_to_tridiagonal_1d(machine: BSPMachine, band: DistBandMatrix) -> DistBandMatrix:
     """Reduce band → tridiagonal in one stage (Lang's algorithm shape).
 
     Used by the ELPA-like baseline; the direct h = 1 reduction trades the
@@ -138,4 +128,4 @@ def band_to_tridiagonal_1d(
     """
     if band.b <= 1:
         return band
-    return _run_chases_1d(machine, band, 1, tag)
+    return _run_chases_1d(machine, band, 1)

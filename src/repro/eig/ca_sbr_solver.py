@@ -38,11 +38,11 @@ def eigensolve_ca_sbr(
 
     with machine.span(tag):
         grid = ProcGrid(machine, (q, q, 1), machine.world.take(q * q))
-        banded = full_to_band_2p5d(machine, grid, a, b, tag=f"{tag}:f2b")
+        banded = full_to_band_2p5d(machine, grid, a, b)
 
         band = DistBandMatrix(machine, banded, b, machine.world)
         target = max(1, n // p)
         if band.b > target:
-            band = ca_sbr_reduce(machine, band, target, tag=f"{tag}:halve")
+            band = ca_sbr_reduce(machine, band, target)
 
         return finish_sequential(machine, band, tag=tag)

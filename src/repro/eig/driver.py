@@ -83,7 +83,6 @@ def finish_tridiagonal(
         machine.charge_flops(root, 64.0 * 5.0 * n * n)
         machine.mem_stream(root, 64.0 * 2.0 * n)
         machine.superstep(machine.world, 1)
-    machine.trace.record("finish", (root,), tag=tag)
     return d, e
 
 
@@ -224,7 +223,7 @@ def _eigensolve_2p5d(
         # Stage 1: full → band.
         if ft:
             def run_f2b() -> np.ndarray:
-                return full_to_band_2p5d(machine, grid, a, b, tag=f"{tag}:f2b")
+                return full_to_band_2p5d(machine, grid, a, b)
 
             def loss_f2b(survivors: RankGroup) -> None:
                 nonlocal grid, delta_eff
@@ -243,7 +242,7 @@ def _eigensolve_2p5d(
                 on_rank_loss=loss_f2b,
             )
         else:
-            banded = full_to_band_2p5d(machine, grid, a, b, tag=f"{tag}:f2b")
+            banded = full_to_band_2p5d(machine, grid, a, b)
         snapshot(
             f"full_to_band(b={b})",
             kind="full_to_band",
@@ -271,7 +270,7 @@ def _eigensolve_2p5d(
                 if new_size < active.size:
                     active = active.take(new_size)
                     with machine.span("shrink", group=active):
-                        band = band.redistribute(active, tag=f"{tag}:shrink{stage_idx}")
+                        band = band.redistribute(active)
             if ft:
                 idx = stage_idx
 
@@ -281,7 +280,7 @@ def _eigensolve_2p5d(
                 def loss_b2b(survivors: RankGroup) -> None:
                     nonlocal band, active
                     active = survivors.take(min(active.size, survivors.size))
-                    band = band.redistribute(active, tag=f"{tag}:b2b{idx}:failover")
+                    band = band.redistribute(active)
 
                 ckpt = Checkpoint(machine, f"band_to_band[{idx}]",
                                   {"band": band.data}, active)
@@ -313,16 +312,16 @@ def _eigensolve_2p5d(
             small = world.take(max(1, int(round(p_live**delta_eff))))
             if small.size < band.group.size:
                 with machine.span("shrink", group=small):
-                    band = band.redistribute(small, tag=f"{tag}:shrink_sbr")
+                    band = band.redistribute(small)
             start_b = band.b
             if ft:
                 def run_sbr() -> DistBandMatrix:
-                    return ca_sbr_reduce(machine, band, target3, tag=f"{tag}:sbr")
+                    return ca_sbr_reduce(machine, band, target3)
 
                 def loss_sbr(survivors: RankGroup) -> None:
                     nonlocal band, small
                     small = survivors.take(min(small.size, survivors.size))
-                    band = band.redistribute(small, tag=f"{tag}:sbr:failover")
+                    band = band.redistribute(small)
 
                 ckpt = Checkpoint(machine, "ca_sbr", {"band": band.data}, small)
                 band = run_stage(
@@ -333,7 +332,7 @@ def _eigensolve_2p5d(
                     on_rank_loss=loss_sbr,
                 )
             else:
-                band = ca_sbr_reduce(machine, band, target3, tag=f"{tag}:sbr")
+                band = ca_sbr_reduce(machine, band, target3)
             snapshot(
                 f"ca_sbr(b={start_b}->{band.b}, p={small.size})",
                 kind="ca_sbr",
@@ -357,7 +356,7 @@ def _eigensolve_2p5d(
             def loss_finish(survivors: RankGroup) -> None:
                 nonlocal band, root
                 regrouped = survivors.take(min(band.group.size, survivors.size))
-                band = band.redistribute(regrouped, tag=f"{tag}:finish:failover")
+                band = band.redistribute(regrouped)
                 root = regrouped.root
 
             ckpt = Checkpoint(machine, "finish", {"band": band.data}, band.group)

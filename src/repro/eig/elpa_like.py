@@ -55,11 +55,11 @@ def eigensolve_elpa_like(
         # Stage 1: 2-D full-to-band (c = 1 grid).
         q = max(1, int(np.sqrt(p)))
         grid = ProcGrid(machine, (q, q, 1), machine.world.take(q * q))
-        banded = full_to_band_2p5d(machine, grid, a, b, tag=f"{tag}:f2b")
+        banded = full_to_band_2p5d(machine, grid, a, b)
 
         # Stage 2: Lang's band-to-tridiagonal on the full machine.
         band = DistBandMatrix(machine, banded, b, machine.world)
-        tri = band_to_tridiagonal_1d(machine, band, tag=f"{tag}:lang")
+        tri = band_to_tridiagonal_1d(machine, band)
 
         # Tridiagonal eigenvalues (parallel bisection, as in the other solvers).
         d = np.diag(tri.data).copy()
@@ -69,5 +69,4 @@ def eigensolve_elpa_like(
             machine.charge_flops(machine.world, 64.0 * 5.0 * n * n / p)
             machine.charge_comm_batch(machine.world, float(n), float(n))
             machine.superstep(machine.world, 2)
-    machine.trace.record("elpa_like", machine.world.ranks, tag=tag)
     return evals

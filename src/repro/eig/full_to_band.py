@@ -49,7 +49,6 @@ def full_to_band_2p5d(
     a: np.ndarray,
     b: int,
     w: int | None = None,
-    tag: str = "f2b",
 ) -> np.ndarray:
     """Reduce symmetric ``a`` to band-width ``b``; returns the banded matrix.
 
@@ -83,7 +82,6 @@ def full_to_band_2p5d(
                 machine.charge_comm_batch(group, share, share)
                 machine.superstep(group, 1)
         machine.note_memory(group, 3 * share)  # A + U + V replicas
-        machine.trace.record("replicate_A", group.ranks, words=share * p, tag=tag)
 
         bmat = np.zeros((n, n))
         # Aggregated update panels U, V, written in place into preallocated
@@ -105,12 +103,10 @@ def full_to_band_2p5d(
             if m_agg:
                 with machine.span("panel_update", group=group):
                     panel += streaming_matmul(
-                        machine, grid, u_glob[c0:, :], v_glob[c0 : c0 + b, :].T, w, a_key="Uagg",
-                        tag=f"{tag}:panel_upd",
+                        machine, grid, u_glob[c0:, :], v_glob[c0 : c0 + b, :].T, w, a_key="Uagg"
                     )
                     panel += streaming_matmul(
-                        machine, grid, v_glob[c0:, :], u_glob[c0 : c0 + b, :].T, w, a_key="Vagg",
-                        tag=f"{tag}:panel_upd",
+                        machine, grid, v_glob[c0:, :], u_glob[c0 : c0 + b, :].T, w, a_key="Vagg"
                     )
             a11 = panel[:b, :]
             a21 = panel[b:, :]
@@ -118,7 +114,7 @@ def full_to_band_2p5d(
             # ---- lines 6–7: QR of the sub-diagonal panel ----------------------
             with machine.span("panel_qr", group=qr_group):
                 if a21.shape[0] >= a21.shape[1]:
-                    u1, t1, r1 = rect_qr(machine, qr_group, a21, delta=delta, tag=f"{tag}:qr@{c0}")
+                    u1, t1, r1 = rect_qr(machine, qr_group, a21, delta=delta)
                 else:
                     # Ragged last panel (rows < b): a single rank factors it.
                     u1, t1, r1 = compact_wy_qr_general(a21)
@@ -128,27 +124,23 @@ def full_to_band_2p5d(
             # ---- line 8: W = A22·U1 + U2(V2ᵀU1) + V2(U2ᵀU1) -------------------
             a22 = a[c0 + b :, c0 + b :]
             with machine.span("form_W", group=group):
-                wmat = streaming_matmul(machine, grid, a22, u1, w, a_key="A", tag=f"{tag}:W")
+                wmat = streaming_matmul(machine, grid, a22, u1, w, a_key="A")
                 if m_agg:
-                    x1 = streaming_matmul(
-                        machine, grid, v_glob[c0 + b :, :].T, u1, w, a_key="Vagg", tag=f"{tag}:W"
-                    )
+                    x1 = streaming_matmul(machine, grid, v_glob[c0 + b :, :].T, u1, w, a_key="Vagg")
                     wmat += streaming_matmul(
-                        machine, grid, u_glob[c0 + b :, :], x1, w, a_key="Uagg", tag=f"{tag}:W"
+                        machine, grid, u_glob[c0 + b :, :], x1, w, a_key="Uagg"
                     )
-                    x2 = streaming_matmul(
-                        machine, grid, u_glob[c0 + b :, :].T, u1, w, a_key="Uagg", tag=f"{tag}:W"
-                    )
+                    x2 = streaming_matmul(machine, grid, u_glob[c0 + b :, :].T, u1, w, a_key="Uagg")
                     wmat += streaming_matmul(
-                        machine, grid, v_glob[c0 + b :, :], x2, w, a_key="Vagg", tag=f"{tag}:W"
+                        machine, grid, v_glob[c0 + b :, :], x2, w, a_key="Vagg"
                     )
 
             # ---- line 9: V1 = ½U1(Tᵀ(U1ᵀ(W T))) − W T --------------------------
             with machine.span("form_V1", group=group):
-                y = carma_matmul(machine, group, wmat, t1, charge_redistribution=False, tag=f"{tag}:V1")
-                z1 = carma_matmul(machine, group, u1.T, y, charge_redistribution=False, tag=f"{tag}:V1")
-                z2 = carma_matmul(machine, group, t1.T, z1, charge_redistribution=False, tag=f"{tag}:V1")
-                z3 = carma_matmul(machine, group, u1, z2, charge_redistribution=False, tag=f"{tag}:V1")
+                y = carma_matmul(machine, group, wmat, t1, charge_redistribution=False)
+                z1 = carma_matmul(machine, group, u1.T, y, charge_redistribution=False)
+                z2 = carma_matmul(machine, group, t1.T, z1, charge_redistribution=False)
+                z3 = carma_matmul(machine, group, u1, z2, charge_redistribution=False)
                 v1 = 0.5 * z3 - y
                 machine.charge_flops(group, float(v1.size) / p)
 
@@ -157,7 +149,6 @@ def full_to_band_2p5d(
             with machine.span("replicate_UV", group=group):
                 machine.charge_comm_batch(group, rep, rep)
                 machine.superstep(group, 1)
-            machine.trace.record("replicate_UV", group.ranks, words=rep * p, tag=tag)
 
             # ---- assemble the banded output ------------------------------------
             bmat[c0 : c0 + b, c0 : c0 + b] = (a11 + a11.T) / 2.0
@@ -179,11 +170,10 @@ def full_to_band_2p5d(
         if m_cols:
             with machine.span("tail", group=group):
                 tail += streaming_matmul(
-                    machine, grid, u_buf[c0:, :m_cols], v_buf[c0:, :m_cols].T, w, a_key="Uagg", tag=f"{tag}:tail"
+                    machine, grid, u_buf[c0:, :m_cols], v_buf[c0:, :m_cols].T, w, a_key="Uagg"
                 )
                 tail += streaming_matmul(
-                    machine, grid, v_buf[c0:, :m_cols], u_buf[c0:, :m_cols].T, w, a_key="Vagg", tag=f"{tag}:tail"
+                    machine, grid, v_buf[c0:, :m_cols], u_buf[c0:, :m_cols].T, w, a_key="Vagg"
                 )
         bmat[c0:, c0:] = (tail + tail.T) / 2.0
-        machine.trace.record("full_to_band", group.ranks, tag=tag)
         return (bmat + bmat.T) / 2.0

@@ -23,9 +23,7 @@ from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.validation import check_symmetric
 
 
-def tridiagonalize_scalapack_like(
-    machine: BSPMachine, a: np.ndarray, tag: str = "scalapack"
-) -> tuple[np.ndarray, np.ndarray]:
+def tridiagonalize_scalapack_like(machine: BSPMachine, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce symmetric ``a`` to tridiagonal (d, e) with 2-D grid charges."""
     a = check_symmetric(a, "A").copy()
     n = a.shape[0]
@@ -59,7 +57,6 @@ def tridiagonalize_scalapack_like(
             a[j, j + 1] = beta
             a[j + 2 :, j] = 0.0
             a[j, j + 2 :] = 0.0
-    machine.trace.record("scalapack_tridiag", group.ranks, tag=tag)
     return np.diag(a).copy(), np.diag(a, -1).copy()
 
 
@@ -71,7 +68,7 @@ def eigensolve_scalapack_like(machine: BSPMachine, a: np.ndarray, tag: str = "sc
     communication), matching ScaLAPACK's pdstebz stage.
     """
     with machine.span(tag):
-        d, e = tridiagonalize_scalapack_like(machine, a, tag=tag)
+        d, e = tridiagonalize_scalapack_like(machine, a)
         n = d.size
         evals = sturm_bisection_eigenvalues(d, e)
         with machine.span("bisection"):

@@ -922,7 +922,6 @@ def _f2b_env(ctx: Ctx) -> dict[str, object]:
         "a": ctx.shape(n, n),
         "b": b,
         "w": ctx.const(1),
-        "tag": OPAQUE,
         "p": ctx.p,
         # the U/V aggregates grow to at most n columns: pin their shape
         "u_glob": ctx.shape(n, n),
@@ -943,7 +942,6 @@ def _streaming_env(ctx: Ctx) -> dict[str, object]:
         "w": ctx.sym("w"),
         "a_key": OPAQUE,
         "charge_b_redistribution": OPAQUE,
-        "tag": OPAQUE,
         "p": ctx.p,
     }
 
@@ -957,7 +955,6 @@ def _sbr_env(ctx: Ctx) -> dict[str, object]:
         "band.b": b,
         "band.group": ctx.group(),
         "h": b,  # one halving step: the target half-width is Theta(b)
-        "tag": OPAQUE,
         "n": n,
         "b": b,
         "p": ctx.p,

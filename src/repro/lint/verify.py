@@ -16,7 +16,7 @@ on, at every superstep barrier and at every :meth:`cost` snapshot:
   via :meth:`grant`; i.e. no rank consumes data it was never sent.
 
 Violations raise :class:`BSPDisciplineError` at the *first* barrier that
-observes them, so the failing superstep is identifiable from the trace.
+observes them, so the failing superstep is identifiable from its span.
 Enable in tests with ``REPRO_VERIFY=1`` (see ``tests/conftest.py``) and on
 the CLI with ``repro solve --verify`` / ``repro run --verify``.
 """
@@ -96,7 +96,6 @@ class VerifiedMachine(BSPMachine):
         self,
         p: int,
         params: MachineParams | None = None,
-        trace: bool = False,
         engine: str | None = None,
         spans: bool | None = None,
         metrics: bool | None = None,
@@ -105,7 +104,7 @@ class VerifiedMachine(BSPMachine):
         strict_reads: bool = False,
         conservation_rtol: float = 1e-6,
     ):
-        super().__init__(p, params, trace, engine, spans, metrics)
+        super().__init__(p, params, engine, spans, metrics)
         self.memory_bound_words = memory_bound_words
         self.strict_reads = strict_reads
         self.conservation_rtol = conservation_rtol

@@ -10,7 +10,7 @@ the inert :data:`NO_TELEMETRY` singleton — a strict no-op.
 
 from repro.metrics.sketch import LatencySketch
 from repro.obs.dash import build_dash_html, write_dash
-from repro.obs.perfetto import merged_trace, write_merged_trace
+from repro.obs.perfetto import merged_trace
 from repro.obs.report import (
     DEFAULT_TELEMETRY_PATH,
     build_telemetry_doc,
@@ -45,6 +45,5 @@ __all__ = [
     "read_event_log",
     "render_telemetry",
     "write_dash",
-    "write_merged_trace",
     "write_telemetry",
 ]

@@ -26,11 +26,9 @@ object; the export is a pure function of it (byte-stable across reruns).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.trace.chrome import span_event_args
+from repro.trace.chrome import span_slice
 from repro.trace.spans import span_event_from_dict
 
 if TYPE_CHECKING:
@@ -183,13 +181,7 @@ def merged_trace(
         first = True
         for doc in captured["events"]:
             ev = span_event_from_dict(doc)
-            events.append(
-                {
-                    "name": ev.name, "cat": "bsp", "ph": "X", "pid": pid,
-                    "tid": 0, "ts": s["start"] + ev.ts, "dur": ev.dur,
-                    "args": span_event_args(ev),
-                }
-            )
+            events.append(span_slice(ev, pid, 0, offset=s["start"]))
             if first:
                 # ...flow finish binds to the first solver slice
                 events.append(
@@ -211,18 +203,3 @@ def merged_trace(
                          "(gamma*F + beta*W + nu*Q + alpha*S)",
         },
     }
-
-
-def write_merged_trace(
-    telemetry: "Telemetry",
-    path: Path | str,
-    pool: "MachinePool | None" = None,
-    label: str = "repro service telemetry",
-) -> Path:
-    """Write the merged trace JSON to ``path`` (parents created)."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(merged_trace(telemetry, pool=pool, label=label), indent=1) + "\n"
-    )
-    return out

@@ -13,8 +13,9 @@ Three passes of the pinned seeded workload run through the service:
   spectra, only the simulated queue order may differ — the SLO section
   shows what deadline-aware dispatch buys the interactive class.
 
-The document written to ``benchmarks/results/BENCH_serve.json`` (and
-committed at the repo root as the baseline) carries, per pass: wall-clock
+The document written to ``benchmarks/results/BENCH_serve.json`` (a fresh
+output, never committed; the gated baseline is the root ``BENCH_serve.json``)
+carries, per pass: wall-clock
 throughput (jobs/s), simulated-latency percentiles (p50/p99 in BSP time
 units), pool utilization, the regime histogram of the planner's routing,
 exact simulated cost totals, and cache statistics; plus the byte-identity
@@ -51,7 +52,7 @@ from repro.bsp.params import MachineParams
 from repro.eig import solve_by_name
 from repro.metrics.attainment import attainment_rollup
 from repro.obs.dash import write_dash
-from repro.obs.perfetto import write_merged_trace
+from repro.obs.perfetto import merged_trace
 from repro.obs.report import build_telemetry_doc
 from repro.obs.telemetry import Telemetry
 from repro.serve.cache import TuningCache
@@ -64,6 +65,7 @@ from repro.serve.service import (
     verify_against_single_shot,
 )
 from repro.serve.workload import Workload, mixed_workload
+from repro.trace.chrome import write_trace
 from repro.util.matrices import random_symmetric
 from repro.util.validation import reference_spectrum_error
 
@@ -398,9 +400,8 @@ def run_telemetry_suite(
         },
     )
     if trace_path is not None:
-        write_merged_trace(
-            telemetry, trace_path, pool=pool,
-            label="serve-bench pinned workload",
+        write_trace(
+            merged_trace(telemetry, pool=pool, label="serve-bench pinned workload"), trace_path
         )
     if dash_path is not None:
         write_dash(doc, dash_path, title="repro serve-bench flight recorder")

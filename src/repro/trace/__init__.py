@@ -3,15 +3,11 @@
 See docs/observability.md.  Enable on any machine with
 ``BSPMachine(p, spans=True)`` (or ``REPRO_SPANS=1``), read the result with
 ``machine.cost().by_span()``, and export with
-:func:`repro.trace.chrome.write_chrome_trace` or ``repro trace``.
+:func:`repro.trace.chrome.chrome_trace` + :func:`repro.trace.chrome.write_trace`
+or ``repro trace``.
 """
 
-from repro.trace.chrome import (
-    chrome_trace,
-    chrome_trace_per_rank,
-    write_chrome_trace,
-    write_chrome_trace_per_rank,
-)
+from repro.trace.chrome import chrome_trace, chrome_trace_per_rank, write_trace
 from repro.trace.report import SpanBreakdown, SpanCost
 from repro.trace.spans import NULL_SPAN, SPAN_FIELDS, UNTRACED, SpanEvent, SpanHandle, SpanRecorder
 
@@ -26,6 +22,5 @@ __all__ = [
     "SpanRecorder",
     "chrome_trace",
     "chrome_trace_per_rank",
-    "write_chrome_trace",
-    "write_chrome_trace_per_rank",
+    "write_trace",
 ]

@@ -21,8 +21,10 @@ track (thread) per rank, each span event duplicated onto the tracks of the
 ranks that executed it, plus per-rank counter tracks (memory footprint and
 cumulative words sent) sampled from a metrics-enabled machine's superstep
 series, and the rank-to-rank heatmap matrices embedded in ``otherData``.
-The single-track exporter is deliberately untouched so its pinned output
-stays byte-identical.
+
+This module is the one place that builds span slices (:func:`span_slice`)
+and writes trace files (:func:`write_trace`); the merged service trace in
+:mod:`repro.obs.perfetto` uses both.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ if TYPE_CHECKING:
 
 def span_event_args(ev: Any) -> dict[str, Any]:
     """The ``args`` payload of one span slice, in the canonical key order
-    (path, depth, group_size, F, W, Q, S).  Shared by both exporters here
-    and by the merged service trace in :mod:`repro.obs.perfetto`; the order
-    is load-bearing — the pinned single-track trace is gated byte-for-byte.
+    (path, depth, group_size, F, W, Q, S); the order is load-bearing — the
+    pinned single-track trace is gated byte-for-byte.
     """
     return {
         "path": ev.path,
@@ -49,6 +50,30 @@ def span_event_args(ev: Any) -> dict[str, Any]:
         "W": ev.words,
         "Q": ev.mem_traffic,
         "S": ev.supersteps,
+    }
+
+
+def span_slice(ev: Any, pid: int, tid: int, offset: float = 0.0) -> dict[str, Any]:
+    """One span as a complete ("ph": "X") trace event on track ``(pid, tid)``,
+    shifted by ``offset`` model time units."""
+    return {
+        "name": ev.name,
+        "cat": "bsp",
+        "ph": "X",
+        "pid": pid,
+        "tid": tid,
+        "ts": offset + ev.ts,
+        "dur": ev.dur,
+        "args": span_event_args(ev),
+    }
+
+
+def _recorder_other_data(recorder: "SpanRecorder") -> dict[str, Any]:
+    return {
+        "p": recorder.p,
+        "spans": len(recorder.events),
+        "open_spans": recorder.open_paths(),
+        "time_unit": "modeled BSP time (gamma*F + beta*W + nu*Q + alpha*S)",
     }
 
 
@@ -70,39 +95,12 @@ def chrome_trace(recorder: "SpanRecorder", label: str = "repro BSP model") -> di
             "args": {"name": "critical path (1 us = 1 model time unit)"},
         },
     ]
-    for ev in recorder.events:
-        events.append(
-            {
-                "name": ev.name,
-                "cat": "bsp",
-                "ph": "X",
-                "pid": 0,
-                "tid": 0,
-                "ts": ev.ts,
-                "dur": ev.dur,
-                "args": span_event_args(ev),
-            }
-        )
+    events += [span_slice(ev, 0, 0) for ev in recorder.events]
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "p": recorder.p,
-            "spans": len(recorder.events),
-            "open_spans": recorder.open_paths(),
-            "time_unit": "modeled BSP time (gamma*F + beta*W + nu*Q + alpha*S)",
-        },
+        "otherData": _recorder_other_data(recorder),
     }
-
-
-def write_chrome_trace(
-    recorder: "SpanRecorder", path: Path | str, label: str = "repro BSP model"
-) -> Path:
-    """Write the trace JSON to ``path`` (parents created) and return it."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(chrome_trace(recorder, label=label), indent=1) + "\n")
-    return out
 
 
 def chrome_trace_per_rank(
@@ -138,26 +136,8 @@ def chrome_trace_per_rank(
         )
     for ev in recorder.events:
         ranks = ev.ranks if ev.ranks is not None else tuple(range(p))
-        args = span_event_args(ev)
-        for r in ranks:
-            events.append(
-                {
-                    "name": ev.name,
-                    "cat": "bsp",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": int(r),
-                    "ts": ev.ts,
-                    "dur": ev.dur,
-                    "args": args,
-                }
-            )
-    other: dict[str, Any] = {
-        "p": p,
-        "spans": len(recorder.events),
-        "open_spans": recorder.open_paths(),
-        "time_unit": "modeled BSP time (gamma*F + beta*W + nu*Q + alpha*S)",
-    }
+        events += [span_slice(ev, 0, int(r)) for r in ranks]
+    other = _recorder_other_data(recorder)
     if metrics is not None:
         for t, memory, sent in metrics.series:
             events.append(
@@ -193,16 +173,10 @@ def chrome_trace_per_rank(
     return {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
 
 
-def write_chrome_trace_per_rank(
-    recorder: "SpanRecorder",
-    path: Path | str,
-    metrics: Any = None,
-    label: str = "repro BSP model (per rank)",
-) -> Path:
-    """Write the multi-track trace JSON to ``path`` and return it."""
+def write_trace(doc: dict[str, Any], path: Path | str) -> Path:
+    """Write a trace_event document to ``path`` (parents created) and return
+    the path; every trace file in the repo goes through here."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(chrome_trace_per_rank(recorder, metrics=metrics, label=label), indent=1) + "\n"
-    )
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     return out

@@ -148,9 +148,11 @@ class SpanBreakdown:
     def render(self, title: str | None = None, min_share: float = 1e-12) -> str:
         """Fixed-width table of the breakdown, most expensive span first.
 
-        Rows below ``min_share`` of the total modeled time (e.g. a
-        float-residue untraced row on a fully instrumented run) are folded
-        away.
+        Rows are exclusive (a span's children are not counted in it);
+        ``bal`` and ``gini`` are :meth:`imbalance` and :meth:`gini` of the
+        span's flops.  Rows below ``min_share`` of the total modeled time
+        (e.g. a float-residue untraced row on a fully instrumented run) are
+        folded away.
         """
         from repro.report.tables import format_table  # late: avoid cycle
 
@@ -167,12 +169,14 @@ class SpanBreakdown:
                     f"{r.words:.4g}",
                     f"{r.mem_traffic:.4g}",
                     r.supersteps,
+                    f"{self.imbalance(r.path):.2f}",
+                    f"{self.gini(r.path):.2f}",
                     f"{r.time:.4g}",
                     f"{100.0 * r.share:.1f}%",
                 ]
             )
         return format_table(
-            ["span", "calls", "F", "W", "Q", "S", "time", "share"],
+            ["span", "calls", "F", "W", "Q", "S", "bal", "gini", "time", "share"],
             rows,
             title=title or f"per-span cost breakdown (p={self.p}, exclusive deltas)",
         )

@@ -162,12 +162,11 @@ class TestKernelTape:
         direct = BSPMachine(8)
         group = direct.world
         if kind == "rect_qr":
-            rect_qr(direct, group, rng.standard_normal((32, 8)),
-                    charge_redistribution=False, tag="t")
+            rect_qr(direct, group, rng.standard_normal((32, 8)), charge_redistribution=False)
         else:
             carma_matmul(direct, group, rng.standard_normal((24, 16)),
                          rng.standard_normal((16, 8)),
-                         charge_redistribution=False, tag="t")
+                         charge_redistribution=False)
 
         replayed = BSPMachine(8)
         tape = KernelTape(replayed)
@@ -230,7 +229,7 @@ class TestEngineResolution:
         assert batched_charging_ok(m)
         assert resolve_chase_engine(m) == "batched"
 
-    @pytest.mark.parametrize("observer", ["trace", "spans", "metrics", "faults"])
+    @pytest.mark.parametrize("observer", ["spans", "metrics", "faults"])
     def test_auto_falls_back_under_observation(self, observer):
         if observer == "faults":
             from repro.faults import FaultPlan, FaultSpec, FaultyMachine

@@ -1,9 +1,8 @@
-"""Tests for RankGroup and the event trace."""
+"""Tests for RankGroup."""
 
 import pytest
 
 from repro.bsp import BSPMachine, RankGroup
-from repro.bsp.trace import Trace
 
 
 class TestRankGroup:
@@ -51,29 +50,3 @@ class TestRankGroup:
         assert RankGroup((1, 2)) == RankGroup((1, 2))
         assert hash(RankGroup((1, 2))) == hash(RankGroup((1, 2)))
 
-
-class TestTrace:
-    def test_disabled_trace_records_nothing(self):
-        t = Trace(enabled=False)
-        t.record("x", (0,))
-        assert len(t) == 0
-
-    def test_record_and_query(self):
-        t = Trace(enabled=True)
-        t.record("bcast", (0, 1), words=10.0, tag="setup")
-        t.record("qr", (0,), flops=99.0, tag="panel0")
-        t.record("bcast", (2, 3), words=20.0, tag="panel0")
-        assert len(t.of_kind("bcast")) == 2
-        assert len(t.with_tag("panel0")) == 2
-        assert t.tags() == ["setup", "panel0"]
-
-    def test_machine_trace_integration(self):
-        m = BSPMachine(4, trace=True)
-        m.superstep()
-        assert len(m.trace.of_kind("superstep")) == 1
-
-    def test_clear(self):
-        t = Trace(enabled=True)
-        t.record("x", (0,))
-        t.clear()
-        assert len(t) == 0

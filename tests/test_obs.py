@@ -5,7 +5,7 @@ The load-bearing guarantees, in order of importance:
 1. **Strict no-op when disabled** — a service run with telemetry attached
    produces byte-identical deterministic summaries, spectra, and journal
    bytes to an unobserved run (and the pinned solver trace regenerates
-   byte-identical after the ``span_event_args`` refactor).
+   byte-identical through the shared span-slice builder).
 2. **Determinism when enabled** — two telemetry-on runs of the same
    seeded workload produce identical event logs, telemetry documents,
    merged Perfetto traces, and dashboards.
@@ -37,13 +37,12 @@ from repro.obs import (
     merged_trace,
     read_event_log,
     write_dash,
-    write_merged_trace,
     write_telemetry,
 )
 from repro.serve import EigenService, MachinePool, TuningCache, mixed_workload
 from repro.serve import bench as serve_bench
 from repro.serve.resilience import AdmissionPolicy, ResiliencePolicy
-from repro.trace import write_chrome_trace
+from repro.trace import chrome_trace, write_trace
 from repro.util.matrices import random_symmetric
 
 PARAMS = serve_bench.SERVE_PARAMS
@@ -183,8 +182,8 @@ class TestStrictNoOp:
         assert res[False][1:] == res[True][1:]
 
     def test_pinned_trace_regenerates_byte_identical(self, tmp_path):
-        """The span_event_args refactor left the committed pinned trace
-        byte-for-byte unchanged."""
+        """The shared span-slice builder and trace writer reproduce the
+        committed pinned trace byte for byte."""
         from repro.eig import eigensolve_2p5d
 
         committed = REPO / "benchmarks" / "results" / "trace_eig_n96_p16.json"
@@ -193,8 +192,8 @@ class TestStrictNoOp:
         a = random_symmetric(96, seed=3)
         machine = BSPMachine(16, spans=True)
         eigensolve_2p5d(machine, a, delta=2.0 / 3.0)
-        fresh = write_chrome_trace(
-            machine.spans, tmp_path / "t.json", label="eigensolve_2p5d n=96 p=16"
+        fresh = write_trace(
+            chrome_trace(machine.spans, label="eigensolve_2p5d n=96 p=16"), tmp_path / "t.json"
         )
         assert fresh.read_bytes() == committed.read_bytes()
 
@@ -366,7 +365,7 @@ class TestPerfetto:
 
     def test_write_merged_trace(self, observed, tmp_path):
         _, pool, telemetry = observed
-        path = write_merged_trace(telemetry, tmp_path / "m.json", pool=pool)
+        path = write_trace(merged_trace(telemetry, pool=pool), tmp_path / "m.json")
         doc = json.loads(path.read_text())
         assert doc["otherData"]["solver_tracks"] == len(telemetry.solver)
 

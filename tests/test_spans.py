@@ -1,10 +1,12 @@
 """Tests for span tracing, critical-path breakdowns and Chrome export.
 
 Covers the recorder core (nesting, exclusive attribution, bit-exactness of
-the breakdown against the global cost report on both engines), the no-op
-disabled path, the Chrome trace-event exporter, ``VerifiedMachine``'s
-per-span invariant checks, and the engine-reset regression (the scalar
-store's old list-replacing ``reset`` left held per-rank references stale).
+the breakdown against the global cost report on both engines), the
+per-section profile a breakdown gives (calls, depth, per-rank values,
+imbalance and the rendered table), the no-op disabled path, the Chrome
+trace-event exporter, ``VerifiedMachine``'s per-span invariant checks, and
+the engine-reset regression (the scalar store's old list-replacing
+``reset`` left held per-rank references stale).
 """
 
 import json
@@ -14,7 +16,10 @@ import pytest
 
 from repro.bench import per_rank_arrays, report_mismatches
 from repro.bsp import BSPMachine, collectives
-from repro.trace import NULL_SPAN, SPAN_FIELDS, UNTRACED, chrome_trace, write_chrome_trace
+from repro.blocks.rect_qr import rect_qr
+from repro.blocks.streaming import streaming_matmul
+from repro.dist.grid import ProcGrid
+from repro.trace import NULL_SPAN, SPAN_FIELDS, UNTRACED, chrome_trace, write_trace
 
 from .conftest import make_machine
 
@@ -101,6 +106,120 @@ class TestSpanRecorder:
         assert bd.by_time()[0].time == max(r.time for r in bd.rows)
 
 
+class TestSpanSections:
+    """A span breakdown as a per-section cost profile: rows are exclusive,
+    repeated spans accumulate, and per-rank statistics agree with the
+    whole-run :class:`~repro.bsp.counters.CostReport`."""
+
+    def test_attributes_charges_to_sections(self):
+        m = BSPMachine(4, spans=True)
+        with m.span("a"):
+            m.charge_flops(0, 100.0)
+        with m.span("b"):
+            m.charge_comm(sends={0: 10.0}, recvs={1: 10.0})
+            m.superstep()
+        bd = m.cost().by_span()
+        assert bd["a"].flops == 100.0
+        assert bd["a"].words == 0.0
+        # Rows are critical-path values (max over ranks): rank 0 sent 10
+        # and rank 1 received 10, so the max is 10.
+        assert bd["b"].words == 10.0
+        assert bd["b"].supersteps == 1
+
+    def test_repeated_sections_accumulate(self):
+        m = BSPMachine(2, spans=True)
+        for _ in range(3):
+            with m.span("loop"):
+                m.charge_flops(0, 1.0)
+        bd = m.cost().by_span()
+        assert bd["loop"].calls == 3
+        assert bd["loop"].flops == 3.0
+
+    def test_nesting_depth_and_subtree_total(self):
+        m = BSPMachine(2, spans=True)
+        with m.span("outer"):
+            m.charge_flops(0, 2.0)
+            with m.span("inner"):
+                m.charge_flops(0, 5.0)
+        bd = m.cost().by_span()
+        assert bd["outer"].depth == 0
+        assert bd["outer/inner"].depth == 1
+        # Rows are exclusive; the parent's inclusive total is its subtree sum.
+        assert bd["outer"].flops == 2.0
+        subtree = [r for r in bd if r.path == "outer" or r.path.startswith("outer/")]
+        assert sum(r.total_flops for r in subtree) == 7.0
+
+    def test_render_and_top(self):
+        m = BSPMachine(4, spans=True)
+        grid = ProcGrid(m, (2, 2, 1))
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((32, 32))
+        b = rng.standard_normal((32, 8))
+        with m.span("mm"):
+            streaming_matmul(m, grid, a, b)
+        with m.span("qr"):
+            rect_qr(m, m.world, rng.standard_normal((64, 8)))
+        bd = m.cost().by_span()
+        text = bd.render()
+        assert "mm/streaming_mm" in text and "qr/rect_qr" in text and "share" in text
+        assert bd.by_time()[0].path.split("/")[0] in ("mm", "qr")
+
+    def test_section_imbalance_matches_cost_report(self):
+        m = BSPMachine(4, spans=True)
+        with m.span("everything"):
+            m.charge_flops(0, 300.0)
+            m.charge_flops(1, 100.0)
+            m.charge_comm(sends={0: 10.0, 1: 30.0}, recvs={2: 40.0})
+            m.superstep()
+        report = m.cost()
+        bd = report.by_span()
+        for fld in ("flops", "words", "words_sent", "mem_traffic", "supersteps"):
+            assert bd.imbalance("everything", fld) == report.imbalance(fld)
+            assert bd.gini("everything", fld) == report.gini(fld)
+
+    def test_section_rank_values_accumulate(self):
+        m = BSPMachine(2, spans=True)
+        for _ in range(2):
+            with m.span("loop"):
+                m.charge_flops(1, 5.0)
+        vals = m.cost().by_span().rank_values("loop", "flops")
+        assert list(vals) == [0.0, 10.0]
+
+    def test_section_active_ranks_mask(self):
+        m = BSPMachine(4, spans=True)
+        with m.span("s"):
+            m.charge_flops(2, 1.0)
+        assert list(m.cost().by_span().active_ranks("s")) == [False, False, True, False]
+
+    def test_render_shows_balance_columns(self):
+        m = BSPMachine(2, spans=True)
+        with m.span("s"):
+            m.charge_flops(0, 30.0)
+            m.charge_flops(1, 10.0)
+        bd = m.cost().by_span()
+        header, _, row = bd.render().splitlines()[1:4]
+        assert header.split() == ["span", "calls", "F", "W", "Q", "S", "bal", "gini", "time", "share"]
+        cells = row.split()
+        assert cells[0] == "s"
+        assert cells[6] == f"{bd.imbalance('s'):.2f}" == "1.50"
+        assert cells[7] == f"{bd.gini('s'):.2f}"
+
+    def test_idle_section_is_balanced(self):
+        m = BSPMachine(2, spans=True)
+        with m.span("idle"):
+            pass
+        bd = m.cost().by_span()
+        assert bd.imbalance("idle") == 1.0 and bd.gini("idle") == 0.0
+        assert list(bd.rank_values("idle")) == [0.0, 0.0]
+
+    def test_rank_values_rejects_unknown_field(self):
+        m = BSPMachine(2, spans=True)
+        with m.span("s"):
+            m.charge_flops(0, 1.0)
+        with pytest.raises(ValueError):
+            m.cost().by_span().rank_values("s", "bogus")
+
+
 class TestDisabled:
     def test_disabled_machine_returns_null_span(self):
         machine = BSPMachine(4)
@@ -151,7 +270,7 @@ class TestChromeExport:
         assert outer["ts"] <= inner["ts"]
         assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
 
-        path = write_chrome_trace(machine.spans, tmp_path / "t.json")
+        path = write_trace(doc, tmp_path / "sub" / "t.json")
         loaded = json.loads(path.read_text())
         assert loaded["otherData"]["p"] == 4
         assert loaded["otherData"]["open_spans"] == []
