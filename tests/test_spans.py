@@ -135,6 +135,16 @@ class TestSpanSections:
         assert bd["loop"].calls == 3
         assert bd["loop"].flops == 3.0
 
+    def test_exception_inside_section_still_recorded(self):
+        m = BSPMachine(1, spans=True)
+        with pytest.raises(RuntimeError):
+            with m.span("boom"):
+                m.charge_flops(0, 7.0)
+                raise RuntimeError("x")
+        bd = m.cost().by_span()
+        assert bd["boom"].calls == 1
+        assert bd["boom"].flops == 7.0
+
     def test_nesting_depth_and_subtree_total(self):
         m = BSPMachine(2, spans=True)
         with m.span("outer"):
