@@ -25,25 +25,21 @@ from repro.bsp.group import RankGroup
 from repro.bsp.kernels import matmul_flops, matmul_flops_arr, qr_flops, qr_flops_arr
 from repro.bsp.machine import BSPMachine
 from repro.dist.banded import DistBandMatrix
-from repro.linalg.sbr import apply_chase_step, chase_steps
+from repro.linalg.sbr import chase_step_arrays, chase_steps, run_chase_schedule
 
 
-def _run_chases_1d_batched(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
-    """Batched twin of :func:`_run_chases_1d` (same charges, one flush).
+def _charge_chases_1d_batched(machine: BSPMachine, band: DistBandMatrix, h: int) -> None:
+    """Batched twin of the per-step charging loop in :func:`_run_chases_1d`.
 
     Charges are computed from the vectorized schedule arrays and appended
     to a :class:`~repro.bsp.batch.ChargeLog` in the per-step order — per
     step: QR flops, update flops, window stream, then the hand-off
     comm/sync when the bulge crosses an ownership boundary — so the flush
-    reproduces the loop's cost report bit-for-bit.  The numerics loop is
-    unchanged (identical `apply_chase_step` sequence).
+    reproduces the loop's cost report bit-for-bit.
     """
     from repro.bsp.batch import ChargeLog
-    from repro.eig.schedule import chase_step_arrays
 
-    n, b = band.n, band.b
-    group = band.group
-    arr = chase_step_arrays(n, b, h)
+    arr = chase_step_arrays(band.n, band.b, h)
     nr, ncols, nc = arr["nr"], arr["ncols"], arr["nc"]
     owner = band._ranks_arr[
         np.searchsorted(band._col_starts, arr["oqr_c"], side="right") - 1
@@ -68,38 +64,42 @@ def _run_chases_1d_batched(machine: BSPMachine, band: DistBandMatrix, h: int) ->
         log.charge_comm(src, words, dst, words)
         log.superstep(np.concatenate([src, dst]), 1)
     log.flush()
-    for step in chase_steps(n, b, h):
-        apply_chase_step(band.data, step)
-    band.data[:] = (band.data + band.data.T) / 2.0
-    return DistBandMatrix(machine, band.data, h, group)
 
 
 def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
-    """Drive all chase steps with 1-D column ownership and boundary syncs."""
+    """Drive all chase steps with 1-D column ownership and boundary syncs.
+
+    Both chase engines charge first — the batched one from the schedule
+    arrays, the per-step one step by step — and then the numerics run once
+    through :func:`~repro.linalg.sbr.run_chase_schedule`: wave-stacked
+    above its width crossover, step by step below it.  Every charge depends
+    only on the schedule's shapes, so the order changes no cost.
+    """
     from repro.eig.band_to_band import resolve_chase_engine
 
-    if resolve_chase_engine(machine) == "batched":
-        return _run_chases_1d_batched(machine, band, h)
     n, b = band.n, band.b
     group = band.group
-    prev_owner: dict[int, int] = {}  # panel index -> owner of its last chase
-    with machine.span("sbr_halve", group=group):
-        for step in chase_steps(n, b, h):  # certify: trips((n / b) * (n / h) / p)
-            owner = band.owner_of_col(step.oqr_c)
-            # Local work: QR of the (nr × h) block + the window update.
-            machine.charge_flops(owner, qr_flops(max(step.nr, step.ncols), min(step.nr, step.ncols)))
-            machine.charge_flops(owner, 3.0 * matmul_flops(step.nc, step.nr, step.ncols))
-            # Vertical traffic: the working window streams through cache.
-            machine.mem_stream(owner, float(step.nc * step.nr + step.nr * step.ncols))
-            # Boundary crossing: if this bulge just moved to a new owner, the
-            # O(b²) window state is handed over and the pair synchronizes.
-            last = prev_owner.get(step.i)
-            if last is not None and last != owner:
-                words = float(step.nr * (step.ncols + step.nc))
-                machine.charge_comm(sends={last: words}, recvs={owner: words})  # certify: count(n / h)
-                machine.superstep(RankGroup((last, owner)), 1)
-            prev_owner[step.i] = owner
-            apply_chase_step(band.data, step)
+    if resolve_chase_engine(machine) == "batched":
+        _charge_chases_1d_batched(machine, band, h)
+    else:
+        prev_owner: dict[int, int] = {}  # panel index -> owner of its last chase
+        with machine.span("sbr_halve", group=group):
+            for step in chase_steps(n, b, h):  # certify: trips((n / b) * (n / h) / p)
+                owner = band.owner_of_col(step.oqr_c)
+                # Local work: QR of the (nr × h) block + the window update.
+                machine.charge_flops(owner, qr_flops(max(step.nr, step.ncols), min(step.nr, step.ncols)))
+                machine.charge_flops(owner, 3.0 * matmul_flops(step.nc, step.nr, step.ncols))
+                # Vertical traffic: the working window streams through cache.
+                machine.mem_stream(owner, float(step.nc * step.nr + step.nr * step.ncols))
+                # Boundary crossing: if this bulge just moved to a new owner, the
+                # O(b²) window state is handed over and the pair synchronizes.
+                last = prev_owner.get(step.i)
+                if last is not None and last != owner:
+                    words = float(step.nr * (step.ncols + step.nc))
+                    machine.charge_comm(sends={last: words}, recvs={owner: words})  # certify: count(n / h)
+                    machine.superstep(RankGroup((last, owner)), 1)
+                prev_owner[step.i] = owner
+    run_chase_schedule(band.data, b, h)
     band.data[:] = (band.data + band.data.T) / 2.0
     return DistBandMatrix(machine, band.data, h, group)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.sbr import ChaseStep, chase_steps
+from repro.linalg.sbr import ChaseStep, chase_step_arrays, chase_steps
 
 
 @dataclass(frozen=True)
@@ -48,39 +48,6 @@ def pipeline_schedule(n: int, b: int, h: int) -> list[PipelinePhase]:
         PipelinePhase(phase=ph, steps=tuple(sorted(buckets[ph], key=lambda s: s.i)))
         for ph in sorted(buckets)
     ]
-
-
-def chase_step_arrays(n: int, b: int, h: int) -> dict[str, np.ndarray]:
-    """Vectorized view of :func:`repro.linalg.sbr.chase_steps`.
-
-    Returns one int64 array per :class:`~repro.linalg.sbr.ChaseStep` field
-    (plus ``phase``), in the same panel-major order — field ``f`` of step
-    ``s`` is ``arrays[f][s]``.  The batched chase engines charge whole
-    schedules from these arrays instead of looping over step objects;
-    equality with the per-step enumeration is pinned by tests.
-    """
-    if not 1 <= h < b < n:
-        raise ValueError(f"need 1 <= h < b < n, got h={h}, b={b}, n={n}")
-    n_panels = -(-n // h) - 1  # ceil(n/h) − 1
-    i_panel = np.arange(1, n_panels + 1, dtype=np.int64)
-    # Chases per panel: the j ≥ 1 with i·h + (j−1)·b < n.
-    counts = -(-(n - i_panel * h) // b)
-    total = int(counts.sum())
-    i_arr = np.repeat(i_panel, counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    j_arr = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + 1
-    oqr_r = i_arr * h + (j_arr - 1) * b
-    oqr_c = np.where(j_arr == 1, oqr_r - h, oqr_r - b)
-    nr = np.minimum(n - oqr_r, b)
-    ncols = np.minimum(h, n - oqr_c)
-    oup_c = oqr_c + h
-    nc = np.maximum(0, np.minimum(n - oup_c, h + 3 * b))
-    ov = oqr_r - oup_c
-    phase = j_arr + 2 * (i_arr - 1)
-    return {
-        "i": i_arr, "j": j_arr, "oqr_r": oqr_r, "oqr_c": oqr_c, "nr": nr,
-        "ncols": ncols, "oup_c": oup_c, "nc": nc, "ov": ov, "phase": phase,
-    }
 
 
 def wave_sizes(n: int, b: int, h: int) -> np.ndarray:
@@ -115,11 +82,55 @@ def max_concurrency(n: int, b: int, h: int) -> int:
     return max((ph.concurrency for ph in sched), default=0)
 
 
+def _cells(n: int, r0: int, nr: int, c0: int, nc: int) -> set[int]:
+    """Flat (row·n + col) indices of a block and of its transpose."""
+    r = np.arange(r0, r0 + nr)[:, None]
+    c = np.arange(c0, c0 + nc)[None, :]
+    return set((r * n + c).ravel().tolist()) | set((c * n + r).ravel().tolist())
+
+
+def _wave_stackable(n: int, phase: PipelinePhase) -> bool:
+    """Whether one wave may run as all its QRs, then all its updates.
+
+    Each step's exact index sets: its QR reads its block and writes ``[R; 0]``
+    there and into the transpose; its update reads and writes the window
+    ``up × rows`` and ``rows × up``.  Ascending panel order runs the steps
+    of a wave one after another, and the stacked order agrees with it when
+
+    * no update writes the QR block of a higher panel of the wave (that QR
+      runs later in ascending order but first when stacked) — lower panels'
+      QR blocks *are* written, after their QR, in both orders;
+    * the update write sets are pairwise disjoint;
+    * an update reads, of the other steps' writes, only QR writes of lower
+      panels;
+    * the QR blocks (with transposes) are pairwise disjoint.
+
+    An update's read set equals its write set, so the first and third
+    conditions test the same intersection.
+    """
+    qr = {s.i: _cells(n, s.oqr_r, s.nr, s.oqr_c, s.ncols) for s in phase.steps}
+    window = {s.i: _cells(n, s.oup_c, s.nc, s.oqr_r, s.nr) for s in phase.steps}
+    for s in phase.steps:
+        for t in phase.steps:
+            if t.i == s.i:
+                continue
+            if window[s.i] & window[t.i] or qr[s.i] & qr[t.i]:
+                return False
+            if t.i > s.i and window[s.i] & qr[t.i]:
+                return False
+    return True
+
+
 def schedule_checks(n: int, b: int, h: int) -> dict[str, bool]:
     """Structural invariants of the schedule (used by tests and benches).
 
-    * steps of one phase touch pairwise-disjoint row windows (they can run
-      concurrently without conflicting updates);
+    * ``phases_disjoint``: the QR blocks of one phase occupy pairwise-
+      disjoint row ranges.  Their update windows are *not* disjoint from
+      the other steps' QR blocks: same-phase steps depend on each other;
+    * ``wave_stackable``: in every phase, the exact read and write sets
+      make "every QR, then every update" equal to ascending panel order
+      (see :func:`_wave_stackable`) — what lets
+      :func:`repro.linalg.sbr.run_chase_schedule` stack a wave;
     * within a panel, chase j+1 starts exactly where chase j's QR rows began
       (the bulge-handoff invariant derived in :mod:`repro.linalg.sbr`);
     * steps of one phase map to pairwise-distinct processor groups under
@@ -134,6 +145,7 @@ def schedule_checks(n: int, b: int, h: int) -> dict[str, bool]:
         for a, c in zip(spans, spans[1:]):
             if c[0] < a[1]:
                 disjoint = False
+    stackable = all(_wave_stackable(n, ph) for ph in sched)
     handoff = True
     by_panel: dict[int, list[ChaseStep]] = {}
     for s in chase_steps(n, b, h):
@@ -148,4 +160,9 @@ def schedule_checks(n: int, b: int, h: int) -> dict[str, bool]:
         gids = [group_of_step(s, n, b) for s in ph.steps]
         if len(set(gids)) != len(gids):
             groups_ok = False
-    return {"phases_disjoint": disjoint, "bulge_handoff": handoff, "groups_disjoint": groups_ok}
+    return {
+        "phases_disjoint": disjoint,
+        "wave_stackable": stackable,
+        "bulge_handoff": handoff,
+        "groups_disjoint": groups_ok,
+    }

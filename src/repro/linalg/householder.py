@@ -76,6 +76,52 @@ def compact_wy_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, t, r
 
 
+def compact_wy_qr_stacked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact-WY QR of every block of a (W, m, k) stack (m ≥ k) at once.
+
+    Block ``w`` is factored exactly as :func:`compact_wy_qr` factors
+    ``a[w]`` — same reflector signs (β opposite to the pivot), same τ,
+    τ = 0 where a column is already reduced — but each Householder step
+    runs once over all W blocks, so the per-call overhead is paid once per
+    column instead of once per block.  Returns ``(U, T, R)`` of shapes
+    (W, m, k), (W, k, k) and (W, k, k).
+    """
+    a = np.array(a, dtype=np.float64)
+    if a.ndim != 3:
+        raise ValueError(f"compact_wy_qr_stacked requires a (W, m, k) stack, got {a.shape}")
+    nw, m, k = a.shape
+    if m < k:
+        raise ValueError(f"compact_wy_qr_stacked requires m >= k, got {a.shape}")
+    u = np.zeros((nw, m, k))
+    t = np.zeros((nw, k, k))
+    for j in range(k):
+        x0 = a[:, j, j].copy()
+        tail = a[:, j + 1 :, j]
+        sigma = np.einsum("wi,wi->w", tail, tail)
+        live = sigma != 0.0
+        norm_x = np.sqrt(x0 * x0 + sigma)
+        # Lanes with a reduced column keep β = x₀, τ = 0 and an unscaled
+        # tail (the τ = 0 branch of householder_vector).
+        beta = np.where(live, np.where(x0 >= 0, -norm_x, norm_x), x0)
+        v0 = np.where(live, x0 - beta, 1.0)
+        tau = np.where(live, -v0 / np.where(live, beta, 1.0), 0.0)
+        v = np.empty((nw, m - j))
+        v[:, 0] = 1.0
+        v[:, 1:] = tail / v0[:, None]
+        if j + 1 < k:
+            trail = a[:, j:, j + 1 :]
+            w = tau[:, None] * np.einsum("wi,wic->wc", v, trail)
+            trail -= v[:, :, None] * w[:, None, :]
+        a[:, j, j] = beta
+        a[:, j + 1 :, j] = 0.0
+        u[:, j:, j] = v
+        if j > 0:
+            z = np.einsum("wic,wi->wc", u[:, j:, :j], v)
+            t[:, :j, j] = -tau[:, None] * np.einsum("wrc,wc->wr", t[:, :j, :j], z)
+        t[:, j, j] = tau
+    return u, t, a[:, :k, :k].copy()
+
+
 def compact_wy_qr_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact-WY QR of an arbitrary m×n matrix (m < n allowed).
 

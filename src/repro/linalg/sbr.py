@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.householder import compact_wy_qr_general
+from repro.linalg.householder import compact_wy_qr_general, compact_wy_qr_stacked
 from repro.util.validation import check_symmetric
 
 
@@ -87,6 +87,39 @@ def chase_steps(n: int, b: int, h: int) -> list[ChaseStep]:
     return steps
 
 
+def chase_step_arrays(n: int, b: int, h: int) -> dict[str, np.ndarray]:
+    """Vectorized view of :func:`repro.linalg.sbr.chase_steps`.
+
+    Returns one int64 array per :class:`~repro.linalg.sbr.ChaseStep` field
+    (plus ``phase``), in the same panel-major order — field ``f`` of step
+    ``s`` is ``arrays[f][s]``.  The batched chase engines charge whole
+    schedules from these arrays and :func:`run_chase_schedule` groups them
+    into waves; equality with the per-step enumeration is pinned by tests.
+    """
+    if not 1 <= h < b < n:
+        raise ValueError(f"need 1 <= h < b < n, got h={h}, b={b}, n={n}")
+    n_panels = -(-n // h) - 1  # ceil(n/h) − 1
+    i_panel = np.arange(1, n_panels + 1, dtype=np.int64)
+    # Chases per panel: the j ≥ 1 with i·h + (j−1)·b < n.
+    counts = -(-(n - i_panel * h) // b)
+    total = int(counts.sum())
+    i_arr = np.repeat(i_panel, counts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    j_arr = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + 1
+    oqr_r = i_arr * h + (j_arr - 1) * b
+    oqr_c = np.where(j_arr == 1, oqr_r - h, oqr_r - b)
+    nr = np.minimum(n - oqr_r, b)
+    ncols = np.minimum(h, n - oqr_c)
+    oup_c = oqr_c + h
+    nc = np.maximum(0, np.minimum(n - oup_c, h + 3 * b))
+    ov = oqr_r - oup_c
+    phase = j_arr + 2 * (i_arr - 1)
+    return {
+        "i": i_arr, "j": j_arr, "oqr_r": oqr_r, "oqr_c": oqr_c, "nr": nr,
+        "ncols": ncols, "oup_c": oup_c, "nc": nc, "ov": ov, "phase": phase,
+    }
+
+
 def apply_chase_step(b_mat: np.ndarray, step: ChaseStep) -> tuple[np.ndarray, np.ndarray]:
     """Execute one chase step in place on the dense symmetric matrix.
 
@@ -112,6 +145,92 @@ def apply_chase_step(b_mat: np.ndarray, step: ChaseStep) -> tuple[np.ndarray, np
         b_mat[rows, up] += u @ v.T
         b_mat[up, rows] += v @ u.T
     return u, t
+
+
+#: Mean wave width (chase steps ÷ non-empty pipeline phases) from which
+#: :func:`run_chase_schedule` stacks each wave; narrower schedules run step
+#: by step.  Per-step ÷ stacked wall of one (n, b, h) halving, median of 7
+#: on one Xeon core (numpy 2.4, single-threaded OpenBLAS): (96, 16, 8)
+#: width 1.8 → 0.65×, (96, 8, 6) 3.3 → 1.02×, (128, 8, 4) 4.3 → 1.27×,
+#: (256, 16, 8) 4.3 → 1.29×, (256, 8, 4) 8.3 → 2.04×, (256, 4, 2) 16 → 3.9×,
+#: (512, 4, 2) 32 → 6.4×.  Below the break-even near width 3.3 the
+#: per-step loop also keeps the bits of every narrower schedule.
+WAVE_MIN_WIDTH = 4.0
+
+
+def run_chase_schedule(b_mat: np.ndarray, b: int, h: int) -> None:
+    """Execute the whole band-``b`` → band-``h`` chase schedule in place.
+
+    Runs pipeline phase after phase (Figure 2).  Within a phase:
+
+    1. the ragged edge steps (``nr < b`` or ``ncols < h``, all at the matrix
+       bottom and so the lowest panels of the phase) run one by one through
+       :func:`apply_chase_step`, in ascending panel order;
+    2. every full-size (b × h) QR block of the phase is factored by one
+       :func:`~repro.linalg.householder.compact_wy_qr_stacked` call and its
+       ``[R; 0]`` written back with the transpose;
+    3. the two-sided window updates run stacked, one call per (nc, ov).
+
+    Same-phase steps are not independent — an update reads the QR output of
+    every lower panel in its phase — so this split is valid only because
+    of what :func:`repro.eig.schedule.schedule_checks` proves as
+    ``wave_stackable``: updates never write a higher panel's QR block or
+    each other's windows.  Schedules whose mean wave width is below
+    :data:`WAVE_MIN_WIDTH` run in panel-major order step by step instead,
+    which is bit-identical to :func:`band_reduce_seq`.
+    """
+    n = b_mat.shape[0]
+    arr = chase_step_arrays(n, b, h)
+    phase = arr["phase"]
+    if phase.size < WAVE_MIN_WIDTH * np.count_nonzero(np.bincount(phase)):
+        for step in chase_steps(n, b, h):
+            apply_chase_step(b_mat, step)
+        return
+    a = np.ascontiguousarray(b_mat)
+    flat = a.reshape(-1)  # a view: stacked blocks are gathered by flat index
+    order = np.argsort(phase, kind="stable")  # (phase, panel ascending)
+    full = (arr["nr"] == b) & (arr["ncols"] == h)
+    fields = [f for f in arr if f != "phase"]
+    for wave in np.split(order, np.flatnonzero(np.diff(phase[order])) + 1):
+        for s in wave[~full[wave]]:
+            apply_chase_step(a, ChaseStep(**{f: int(arr[f][s]) for f in fields}))
+        wave = wave[full[wave]]
+        if wave.size:
+            _run_full_wave(flat, n, b, h, *(arr[f][wave] for f in ("oqr_r", "oqr_c", "oup_c", "nc", "ov")))
+    if a is not b_mat:
+        b_mat[...] = a
+
+
+def _run_full_wave(
+    flat: np.ndarray, n: int, b: int, h: int,
+    oqr_r: np.ndarray, oqr_c: np.ndarray, oup_c: np.ndarray, nc: np.ndarray, ov: np.ndarray,
+) -> None:
+    """Stacked QR, write-back and window updates of one wave's b × h steps.
+
+    ``flat`` is the row-major n×n matrix as one vector; every block is
+    addressed by a (W, rows, cols) array of flat indices.
+    """
+    rows = oqr_r[:, None] + np.arange(b)
+    cols = oqr_c[:, None] + np.arange(h)
+    block = rows[:, :, None] * n + cols[:, None, :]
+    u, t, r = compact_wy_qr_stacked(flat[block])
+    out = np.zeros((rows.shape[0], b, h))
+    out[:, :h, :] = r
+    flat[block] = out
+    flat[cols[:, :, None] * n + rows[:, None, :]] = out.transpose(0, 2, 1)
+    keys = nc * (b + 1) + ov  # ov ∈ {0, b − h}
+    for key in sorted(set(keys.tolist())):
+        sel = keys == key
+        width, off = divmod(key, b + 1)
+        us, ts, rs = u[sel], t[sel], rows[sel]
+        up = oup_c[sel][:, None] + np.arange(width)
+        window = up[:, :, None] * n + rs[:, None, :]  # up × rows
+        w = flat[window] @ (us @ ts)
+        v = -w
+        ut = us.transpose(0, 2, 1)
+        v[:, off : off + b] += 0.5 * (us @ (ts.transpose(0, 2, 1) @ (ut @ w[:, off : off + b])))
+        flat[rs[:, :, None] * n + up[:, None, :]] += us @ v.transpose(0, 2, 1)
+        flat[window] += v @ ut
 
 
 def band_reduce_seq(a: np.ndarray, b: int, h: int) -> np.ndarray:

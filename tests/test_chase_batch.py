@@ -21,9 +21,9 @@ from repro.bsp import BSPMachine
 from repro.bsp.batch import ChargeLog, FlatTape, KernelTape, batched_charging_ok
 from repro.dist.banded import DistBandMatrix
 from repro.eig.band_to_band import band_to_band_2p5d, resolve_chase_engine
-from repro.eig.ca_sbr import ca_sbr_halve
-from repro.eig.schedule import chase_step_arrays, pipeline_schedule, wave_sizes
-from repro.linalg.sbr import chase_steps
+from repro.eig.ca_sbr import ca_sbr_halve, ca_sbr_reduce
+from repro.eig.schedule import pipeline_schedule, wave_sizes
+from repro.linalg.sbr import WAVE_MIN_WIDTH, chase_step_arrays, chase_steps
 from repro.util.matrices import random_banded_symmetric, random_symmetric
 
 ENGINES = ("array", "scalar")
@@ -294,6 +294,26 @@ class TestStageIdentity:
         bat_cost, bat_data = _sbr_run(counter_engine, "batched", monkeypatch=monkeypatch)
         assert report_mismatches(ref_cost, bat_cost) == []
         assert np.array_equal(ref_data, bat_data)
+
+    @pytest.mark.parametrize("counter_engine", ENGINES)
+    def test_ca_sbr_reduce_above_wave_crossover_is_bit_identical(self, counter_engine, monkeypatch):
+        """Both engines share the wave-stacked numerics, so band data,
+        spectra and cost reports agree exactly where the waves stack."""
+        n, b = 256, 8
+        for bw in (8, 4):
+            sizes = wave_sizes(n, bw, bw // 2)
+            assert sizes.sum() / np.count_nonzero(sizes) >= WAVE_MIN_WIDTH
+        a = random_banded_symmetric(n, b, seed=11)
+        runs = {}
+        for chase_engine in ("perstep", "batched"):
+            monkeypatch.setenv("REPRO_CHASE_ENGINE", chase_engine)
+            machine = BSPMachine(8, engine=counter_engine)
+            out = ca_sbr_reduce(machine, DistBandMatrix(machine, a.copy(), b, machine.world), 2)
+            runs[chase_engine] = (machine.cost(), out.data.copy())
+        (ref_cost, ref_data), (bat_cost, bat_data) = runs["perstep"], runs["batched"]
+        assert report_mismatches(ref_cost, bat_cost) == []
+        assert np.array_equal(ref_data, bat_data)
+        assert np.array_equal(np.linalg.eigvalsh(ref_data), np.linalg.eigvalsh(bat_data))
 
     def test_batched_rejected_configs_match_perstep(self):
         """Both engines validate k the same way."""

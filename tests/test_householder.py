@@ -9,6 +9,7 @@ from repro.linalg.householder import (
     apply_block_reflector_right,
     compact_wy_qr,
     compact_wy_qr_general,
+    compact_wy_qr_stacked,
     expand_q,
     householder_vector,
 )
@@ -97,6 +98,54 @@ class TestCompactWYGeneral:
         u2, t2, r2 = compact_wy_qr_general(a.copy())
         assert np.array_equal(r1, r2)
         assert np.array_equal(u1, u2)
+
+
+def _rel(x, ref):
+    return np.abs(x - ref).max() / max(1.0, np.abs(ref).max())
+
+
+class TestCompactWYStacked:
+    """The stacked kernel factors each block as compact_wy_qr does."""
+
+    @pytest.mark.parametrize("shape", [(1, 6, 3), (7, 8, 4), (5, 6, 6), (32, 4, 2), (3, 16, 8), (4, 5, 1)])
+    def test_matches_per_block_kernel(self, rng, shape):
+        a = rng.standard_normal(shape)
+        a[0, 0, 0] = -abs(a[0, 0, 0]) - 1.0  # a negative pivot: β > 0
+        u, t, r = compact_wy_qr_stacked(a)
+        m, k = shape[1:]
+        for w in range(shape[0]):
+            u1, t1, r1 = compact_wy_qr(a[w])
+            assert _rel(u[w], u1) < 1e-13
+            assert _rel(t[w], t1) < 1e-13
+            assert _rel(r[w], r1) < 1e-13
+            q = np.eye(m) - u[w] @ t[w] @ u[w].T
+            resid = np.linalg.norm(a[w] - q[:, :k] @ r[w]) / np.linalg.norm(a[w])
+            assert resid <= 1e-14 * m
+
+    def test_sign_convention(self, rng):
+        a = rng.standard_normal((2, 5, 2))
+        a[0, 0, 0], a[1, 0, 0] = 3.0, -3.0
+        _, t, r = compact_wy_qr_stacked(a)
+        assert r[0, 0, 0] < 0 < r[1, 0, 0]  # β opposite to the pivot
+        assert 1.0 <= t[0, 0, 0] <= 2.0 and 1.0 <= t[1, 0, 0] <= 2.0
+
+    def test_reduced_column_takes_tau_zero_branch(self, rng):
+        a = rng.standard_normal((3, 6, 3))
+        a[1:, 1:, 0] = 0.0  # lanes 1, 2: first column already (x₀, 0, …, 0)
+        a[2, 2:, 1] = 0.0  # lane 2: H₀ = I, so its second column is too
+        u, t, r = compact_wy_qr_stacked(a)
+        assert t[1, 0, 0] == 0.0 and r[1, 0, 0] == a[1, 0, 0]
+        assert np.array_equal(u[1, :, 0], np.eye(6)[:, 0])
+        assert t[2, 1, 1] == 0.0 and t[0, 1, 1] != 0.0
+        for w in range(3):
+            u1, t1, r1 = compact_wy_qr(a[w])
+            assert _rel(u[w], u1) < 1e-13 and _rel(t[w], t1) < 1e-13 and _rel(r[w], r1) < 1e-13
+
+    def test_rejects_bad_shapes(self, rng):
+        with pytest.raises(ValueError, match="m >= k"):
+            compact_wy_qr_stacked(rng.standard_normal((2, 3, 4)))
+        with pytest.raises(ValueError, match="stack"):
+            compact_wy_qr_stacked(rng.standard_normal((3, 4)))
 
 
 class TestApplyAndExpand:

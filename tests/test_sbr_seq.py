@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.eig.schedule import wave_sizes
+from repro.linalg import sbr
 from repro.linalg.band import SymmetricBand
 from repro.linalg.sbr import (
     apply_chase_step,
@@ -12,6 +14,7 @@ from repro.linalg.sbr import (
     chase_steps,
     eigenvalues_via_sbr,
     full_to_band_seq,
+    run_chase_schedule,
     tridiagonalize_band_seq,
 )
 from repro.util.matrices import random_banded_symmetric, random_symmetric
@@ -98,6 +101,84 @@ class TestBandReduce:
         a = random_symmetric(16, seed=3)  # dense
         out = band_reduce_seq(a, 4, 2)
         assert matrix_bandwidth(out) > 2  # leftover fill betrays the misuse
+
+
+# h ∤ b, h = 1, ragged n, and the n = 512 halvings of the pinned solve
+WAVE_SHAPES = [
+    (32, 8, 4), (48, 8, 2), (64, 16, 8), (65, 16, 8), (96, 12, 3), (100, 14, 7),
+    (64, 8, 1), (70, 9, 4), (96, 8, 6), (128, 8, 4), (256, 16, 8), (101, 4, 2),
+    (512, 4, 2),
+]
+
+
+def _mean_wave_width(n, b, h):
+    sizes = wave_sizes(n, b, h)
+    return sizes.sum() / np.count_nonzero(sizes)
+
+
+def _run_in_order(a, steps):
+    out = a.copy()
+    for step in steps:
+        apply_chase_step(out, step)
+    return out
+
+
+class TestWaveExecutor:
+    @pytest.mark.parametrize("n,b,h", WAVE_SHAPES)
+    def test_stacked_waves_match_sequential_reduction(self, n, b, h, monkeypatch):
+        monkeypatch.setattr(sbr, "WAVE_MIN_WIDTH", 0.0)  # stack every shape
+        a = random_banded_symmetric(n, b, seed=n + b + h)
+        ref = band_reduce_seq(a, b, h)
+        out = a.copy()
+        run_chase_schedule(out, b, h)
+        out = (out + out.T) / 2.0
+        assert np.abs(np.tril(out, -h - 1)).max() == 0.0  # band-width exactly h
+        norm = np.abs(np.linalg.eigvalsh(a)).max()
+        assert np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(ref)).max() <= 1e-12 * norm
+
+    @pytest.mark.parametrize("n,b,h", [(64, 8, 4), (65, 16, 8), (70, 9, 4), (40, 6, 1)])
+    def test_ascending_wave_order_is_panel_major_bit_for_bit(self, n, b, h):
+        a = random_banded_symmetric(n, b, seed=3)
+        steps = chase_steps(n, b, h)
+        ref = _run_in_order(a, steps)
+        waves = _run_in_order(a, sorted(steps, key=lambda s: (s.phase, s.i)))
+        assert np.array_equal(waves, ref)
+
+    def test_descending_wave_order_breaks_the_reduction(self):
+        """Same-phase steps depend on each other: an update reads the QR
+        output of every lower panel of its phase."""
+        a = random_banded_symmetric(64, 8, seed=3)
+        steps = chase_steps(64, 8, 4)
+        ref = _run_in_order(a, steps)
+        wrong = _run_in_order(a, sorted(steps, key=lambda s: (s.phase, -s.i)))
+        assert np.abs(wrong - ref).max() > 1e-3 * np.abs(a).max()
+
+    def test_narrow_schedules_run_step_by_step(self):
+        n, b, h = 96, 16, 8
+        assert _mean_wave_width(n, b, h) < sbr.WAVE_MIN_WIDTH
+        a = random_banded_symmetric(n, b, seed=4)
+        out = a.copy()
+        run_chase_schedule(out, b, h)
+        assert np.array_equal(out, _run_in_order(a, chase_steps(n, b, h)))
+
+    def test_wide_schedules_call_the_step_kernel_only_for_ragged_steps(self, monkeypatch):
+        n, b, h = 131, 8, 4  # ragged: b ∤ n
+        assert _mean_wave_width(n, b, h) >= sbr.WAVE_MIN_WIDTH
+        seen = []
+        step_kernel = sbr.apply_chase_step
+
+        def counting(mat, step):
+            seen.append(step)
+            return step_kernel(mat, step)
+
+        monkeypatch.setattr(sbr, "apply_chase_step", counting)
+        a = random_banded_symmetric(n, b, seed=5)
+        out = a.copy()
+        run_chase_schedule(out, b, h)
+        ragged = [s for s in chase_steps(n, b, h) if s.nr < b or s.ncols < h]
+        assert seen == sorted(ragged, key=lambda s: (s.phase, s.i))
+        assert 0 < len(seen) < len(chase_steps(n, b, h)) // 4
+        assert eig_err(a, (out + out.T) / 2.0) < 1e-12
 
 
 class TestFullToBand:

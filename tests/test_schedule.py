@@ -3,6 +3,7 @@
 import pytest
 
 from repro.eig.schedule import (
+    _cells,
     group_of_step,
     max_concurrency,
     pipeline_schedule,
@@ -53,6 +54,29 @@ class TestStructure:
         # At most ~n/(2b) bulges are in flight (the paper's pipeline bound).
         n, b, h = 96, 8, 4
         assert max_concurrency(n, b, h) <= n // (2 * b) + 1
+
+    # ragged n, h ∤ b and h = 1 included
+    @pytest.mark.parametrize(
+        "n,b,h", [(48, 8, 4), (65, 16, 8), (100, 14, 7), (70, 9, 4), (37, 5, 2), (40, 8, 3), (33, 4, 1), (30, 6, 1)]
+    )
+    def test_waves_are_stackable(self, n, b, h):
+        assert schedule_checks(n, b, h)["wave_stackable"]
+
+    def test_updates_write_lower_panels_qr_blocks(self):
+        """Same-phase steps are not independent: some update writes the QR
+        block of a lower panel of its phase (which the stacked order keeps
+        after that QR), so "disjoint QR rows" alone does not license
+        stacking."""
+        n = 48
+        hits = 0
+        for ph in pipeline_schedule(n, 8, 4):
+            for s in ph.steps:
+                window = _cells(n, s.oup_c, s.nc, s.oqr_r, s.nr)
+                for t in ph.steps:
+                    if window & _cells(n, t.oqr_r, t.nr, t.oqr_c, t.ncols):
+                        assert t.i <= s.i
+                        hits += t.i < s.i
+        assert hits > 0
 
 
 class TestGroupAssignment:

@@ -17,7 +17,6 @@ from repro.serve import (
     Workload,
     mixed_workload,
     plan_job,
-    schedule_jobs,
     scf_trace,
     verify_against_single_shot,
     zipf_stream,
@@ -25,6 +24,8 @@ from repro.serve import (
 from repro.serve import bench as serve_bench
 from repro.util.matrices import random_symmetric
 from repro.util.validation import reference_spectrum_error
+
+from tests.scheduler_oracle import schedule_jobs
 
 PARAMS = serve_bench.SERVE_PARAMS
 
